@@ -1,18 +1,20 @@
-// Command railclient runs experiments against a raild daemon. Grid
-// sweeps accept the same dimension flags and produce byte-identical
-// output to cmd/railgrid — the difference is where the cells simulate:
-// railgrid runs them in-process and forgets its cache on exit, while
-// railclient shares a daemon whose cache stays warm across invocations
-// and whose request-level deduplication coalesces identical concurrent
-// requests from any number of clients.
+// Command railclient runs experiments against a raild daemon (or a
+// railfleet coordinator). Grid sweeps accept the same dimension flags
+// and produce byte-identical output to cmd/railgrid — the difference
+// is where the cells simulate: railgrid runs them in-process and
+// forgets its cache on exit, while railclient shares a daemon whose
+// cache stays warm across invocations and whose request-level
+// deduplication coalesces identical concurrent requests from any
+// number of clients.
 //
 // With -exp, railclient runs any experiment in the photonrail registry
-// remotely (fig8, fig4, table1-3, window-analysis, bom, grids, …); the
-// daemon renders the result server-side, so the bytes match the local
-// CLI twin exactly. -timeout bounds the wait client- and server-side
-// (the daemon honors it as a per-request deadline), and a cancelled
-// wait sends a protocol cancel frame so the daemon stops only this
-// request's wait.
+// remotely (fig8, fig4, table1-3, window-analysis, bom, grids, …); a
+// sweep without -exp is the experiment "grid" over the dimension
+// flags. Either way the daemon renders the result server-side, so the
+// bytes match the local CLI twin exactly. -timeout bounds the wait
+// client- and server-side (the daemon honors it as a per-request
+// deadline), and a cancelled wait — the deadline or Ctrl-C — sends a
+// protocol cancel frame so the daemon stops only this request's wait.
 //
 // Usage:
 //
@@ -93,9 +95,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if _, err = fmt.Fprintf(w, "daemon: cache %d hits / %d misses / %d evictions, %d in flight; grids %d executed / %d deduped; exps %d executed / %d deduped\n",
-			st.Hits, st.Misses, st.Evictions, st.InFlight,
-			st.GridsExecuted, st.GridsDeduped, st.ExpsExecuted, st.ExpsDeduped); err != nil {
+		if _, err = fmt.Fprintf(w, "daemon: cache %d hits / %d misses / %d evictions, %d in flight; exps %d executed / %d deduped\n",
+			st.Hits, st.Misses, st.Evictions, st.InFlight, st.ExpsExecuted, st.ExpsDeduped); err != nil {
 			return err
 		}
 		if _, err = fmt.Fprintf(w, "stages: build %d/%d, provision %d/%d (seeds %d/%d), time %d/%d (hits/misses)\n",
@@ -137,36 +138,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		onProgress = func(done, total int) { fmt.Fprintf(stderr, "railclient: %d/%d cells\n", done, total) }
 	}
 
-	if *expName != "" {
-		return runExperiment(ctx, *expName, dims, *addr, *format, *timeout, onProgress, printStats, *stats, stdout, stderr)
+	// A grid sweep (no -exp) is the registry experiment "grid": one
+	// request path, with the deadline and Ctrl-C honored server-side.
+	name := *expName
+	if name == "" {
+		name = "grid"
 	}
-
-	spec, _, err := dims.Spec()
-	if err != nil {
-		return err
-	}
-	c, err := railserve.Dial(*addr)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-
-	run, err := c.RunGridCtx(ctx, spec, onProgress)
-	if err != nil {
-		return err
-	}
-	if run.Shared {
-		fmt.Fprintf(stderr, "railclient: joined an identical in-flight sweep\n")
-	}
-	if err := gridcli.RenderRows(stdout, *format, run.Name, run.Rows); err != nil {
-		return err
-	}
-	if *stats {
-		if err := printStats(c, stderr); err != nil {
-			return err
-		}
-	}
-	return nil
+	return runExperiment(ctx, name, dims, *addr, *format, *timeout, onProgress, printStats, *stats, stdout, stderr)
 }
 
 // printMember renders one fleet member's membership line: identity,

@@ -3,10 +3,16 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"flag"
+	"io"
+	"net"
 	"strings"
+	"sync"
 	"testing"
 
 	"photonrail"
+	"photonrail/internal/gridcli"
 	"photonrail/internal/opusnet"
 	"photonrail/internal/railfleet"
 	"photonrail/internal/railserve"
@@ -46,7 +52,7 @@ func TestRemoteStats(t *testing.T) {
 		"-format", "csv", "-stats", "-progress"}, &out, &errb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(errb.String(), "grids 1 executed") {
+	if !strings.Contains(errb.String(), "exps 1 executed") {
 		t.Errorf("stats = %q", errb.String())
 	}
 	if !strings.Contains(errb.String(), "railclient: ") {
@@ -165,5 +171,69 @@ func TestDaemonStatsFleetMembership(t *testing.T) {
 	}
 	if !strings.Contains(so.String(), "s0 ("+backendAddr+"): static healthy") {
 		t.Errorf("daemon-stats = %q, want the static member's line", so.String())
+	}
+}
+
+// TestGridSweepSendsTimeoutToServer: a sweep without -exp goes out as
+// exp_req "grid" carrying the dimension flags' grid and the -timeout
+// deadline, so the server bounds the sweep (and a cancel frame can
+// stop it) instead of simulating it to completion. A stub server on
+// opusnet.ServeConn records the request frame.
+func TestGridSweepSendsTimeoutToServer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan *opusnet.Message, 1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		opusnet.ServeConn(conn, func(msg *opusnet.Message, reply func(*opusnet.Message, bool), _ *opusnet.ConnState) {
+			select {
+			case got <- msg:
+			default:
+			}
+			reply(&opusnet.Message{Type: opusnet.MsgExpResult, Seq: msg.Seq,
+				ExpResult: &opusnet.ExpResultPayload{Name: "grid", Rendered: "stub\n"}}, true)
+		})
+	}()
+	t.Cleanup(func() { _ = ln.Close(); wg.Wait() })
+
+	dimArgs := []string{"-models", "Llama3-8B", "-par", "4:2:2", "-latencies", "5", "-iters", "1"}
+	var out, errb bytes.Buffer
+	args := append([]string{"-addr", ln.Addr().String(), "-timeout", "1500ms"}, dimArgs...)
+	if err := run(t.Context(), args, &out, &errb); err != nil {
+		t.Fatalf("run: %v (stderr %q)", err, errb.String())
+	}
+	if out.String() != "stub\n" {
+		t.Errorf("stdout = %q, want the server's rendering verbatim", out.String())
+	}
+	msg := <-got
+	if msg.Type != opusnet.MsgExpReq || msg.Exp == nil || msg.Exp.Name != "grid" {
+		t.Fatalf("request frame = %+v, want exp_req named \"grid\"", msg)
+	}
+	if msg.Exp.TimeoutMS != 1500 {
+		t.Errorf("TimeoutMS = %d, want 1500 (the -timeout value)", msg.Exp.TimeoutMS)
+	}
+	fs := flag.NewFlagSet("dims", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	dims := gridcli.Register(fs)
+	if err := fs.Parse(dimArgs); err != nil {
+		t.Fatal(err)
+	}
+	spec, _, err := dims.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(spec)
+	sent, _ := json.Marshal(msg.Exp.Grid)
+	if string(sent) != string(want) {
+		t.Errorf("request grid = %s, want dims.Spec() = %s", sent, want)
 	}
 }

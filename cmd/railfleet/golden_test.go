@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -10,7 +9,7 @@ import (
 	"time"
 
 	"photonrail/internal/goldentest"
-	"photonrail/internal/gridcli"
+	"photonrail/internal/opusnet"
 	"photonrail/internal/railserve"
 	"photonrail/internal/scenario"
 )
@@ -71,17 +70,21 @@ func TestGoldenFleet(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = c.Close() })
 
-	t.Run("fig8-5d", func(t *testing.T) {
-		run, err := c.RunGrid(scenario.SpecOf(scenario.Fig8Grid5D()), nil)
+	// rendered runs spec through the fleet as exp_req "grid" and returns
+	// the coordinator's rendering in each output format.
+	rendered := func(t *testing.T, spec scenario.Spec) map[string]string {
+		t.Helper()
+		run, err := c.RunExperiment(t.Context(), opusnet.ExpRequestPayload{Name: "grid", Grid: &spec}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return map[string]string{"table": run.Rendered, "csv": run.RenderedCSV, "json": run.RowsJSON}
+	}
+
+	t.Run("fig8-5d", func(t *testing.T) {
+		out := rendered(t, scenario.SpecOf(scenario.Fig8Grid5D()))
 		for _, format := range []string{"table", "csv", "json"} {
-			var out bytes.Buffer
-			if err := gridcli.RenderRows(&out, format, run.Name, run.Rows); err != nil {
-				t.Fatal(err)
-			}
-			goldentest.Check(t, out.Bytes(), filepath.Join("testdata", "golden", "fig8-5d."+format))
+			goldentest.Check(t, []byte(out[format]), filepath.Join("testdata", "golden", "fig8-5d."+format))
 		}
 	})
 
@@ -89,28 +92,20 @@ func TestGoldenFleet(t *testing.T) {
 	// the bytes must equal railgrid's committed files, not a corpus of
 	// our own.
 	t.Run("railgrid-corpus", func(t *testing.T) {
-		spec := scenario.Spec{
+		out := rendered(t, scenario.Spec{
 			Name:         "custom",
 			Models:       []string{"Llama3-8B"},
 			Parallelisms: []scenario.Parallelism{{TP: 4, DP: 2, PP: 2}},
 			Fabrics:      []string{"electrical", "photonic", "static"},
 			LatenciesMS:  []float64{5},
 			Iterations:   1,
-		}
-		run, err := c.RunGrid(spec, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		})
 		for _, format := range []string{"table", "csv", "json"} {
-			var out bytes.Buffer
-			if err := gridcli.RenderRows(&out, format, run.Name, run.Rows); err != nil {
-				t.Fatal(err)
-			}
 			want, err := os.ReadFile(filepath.Join("..", "railgrid", "testdata", "golden", "small."+format))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(out.Bytes(), want) {
+			if out[format] != string(want) {
 				t.Errorf("%s output diverged from railgrid's golden corpus", format)
 			}
 		}

@@ -110,8 +110,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// renderResult writes the experiment result in the chosen format; the
-// bytes are identical to gridcli.RenderRows over the same rows.
+// renderResult writes the experiment result in the chosen format —
+// the same renderings raild and railfleet ship, byte for byte.
 func renderResult(w io.Writer, format string, res *photonrail.ExperimentResult) error {
 	switch format {
 	case "table":

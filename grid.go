@@ -33,7 +33,7 @@ type GridParallelism = scenario.Parallelism
 // GridSpec is the wire-encodable, name-based form of a Grid: models,
 // GPUs, fabrics, and schedules are carried by preset name, so a spec
 // marshals to compact JSON and travels the opusnet protocol (it is the
-// payload of both grid_req and a grid experiment's exp_req). Resolve
+// grid of a grid experiment's exp_req and of a fleet's cells_req). Resolve
 // materializes it into a Grid; SpecOfGrid is the inverse.
 type GridSpec = scenario.Spec
 

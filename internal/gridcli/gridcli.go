@@ -1,8 +1,8 @@
 // Package gridcli is the shared command-line surface of the
 // experiment CLIs: cmd/railgrid (local execution) and cmd/railclient
 // (remote execution against a raild daemon) register the same
-// dimension flags, build the same wire-encodable scenario.Spec from
-// them, and render results through the same table/CSV/JSON renderers,
+// dimension flags and build the same wire-encodable scenario.Spec from
+// them; both print the grid experiment's own table/CSV/JSON renderings,
 // so a railgrid invocation and its railclient twin differ only in
 // where the cells simulate. The registry-driven one-shot CLIs
 // (railcost, railwindows) share their run loop here too.
@@ -20,7 +20,6 @@ import (
 
 	"photonrail"
 	"photonrail/internal/model"
-	"photonrail/internal/report"
 	"photonrail/internal/scenario"
 	"photonrail/internal/topo"
 )
@@ -271,36 +270,6 @@ func CheckFormat(format string) error {
 		return nil
 	}
 	return fmt.Errorf("unknown format %q (want table, csv, json)", format)
-}
-
-// RenderRows writes executed grid rows in the chosen format — the
-// aligned table (with an ok/skip footer), the fully numeric CSV, or the
-// {"grid", "cells"} JSON document. railgrid renders local results,
-// railclient renders daemon results; the bytes are identical.
-func RenderRows(w io.Writer, format, name string, rows []scenario.Row) error {
-	switch format {
-	case "table":
-		if err := scenario.TableFromRows(name, rows).Render(w); err != nil {
-			return err
-		}
-		skipped := 0
-		for _, row := range rows {
-			if row.Status == "skip" {
-				skipped++
-			}
-		}
-		_, err := fmt.Fprintf(w, "\n%d cells: %d ok, %d skipped\n", len(rows), len(rows)-skipped, skipped)
-		return err
-	case "csv":
-		return scenario.CSVTableFromRows(rows).CSV(w)
-	case "json":
-		out := struct {
-			Grid  string         `json:"grid"`
-			Cells []scenario.Row `json:"cells"`
-		}{name, rows}
-		return report.JSON(w, out)
-	}
-	return CheckFormat(format)
 }
 
 // GridNames lists the built-in grids, sorted.

@@ -25,8 +25,8 @@ func seedFrame(tb testing.TB, m *Message) []byte {
 // the decoder accepts re-encodes to a frame that decodes to the same
 // message (re-encode/re-decode fixpoint); and the re-encoded stream is
 // fully consumed (framing stays self-delimiting). Seeds cover every
-// message type, including the raild grid request/progress/result
-// frames.
+// message type, including a grid served as exp_req "grid" and a
+// cells_req subset ticking as exp_progress.
 func FuzzMessageRoundTrip(f *testing.F) {
 	seeds := []*Message{
 		{Type: MsgRegister, Seq: 1, Rank: 3, Rail: 0, Group: "fsdp.s0.r0", Ranks: []int{0, 4, 8, 12}, Axis: 1},
@@ -37,26 +37,23 @@ func FuzzMessageRoundTrip(f *testing.F) {
 		{Type: MsgErr, Seq: 6, Error: "circuit conflict"},
 		{Type: MsgStatsReq, Seq: 7},
 		{Type: MsgStatsResp, Seq: 8, Stats: &StatsPayload{Reconfigurations: 9, FastGrants: 12, QueuedGrants: 3, BlockedTimeNS: 1e6, ProvisionedRequests: 2}},
-		{Type: MsgGridReq, Seq: 9, Spec: &scenario.Spec{
+		{Type: MsgExpReq, Seq: 9, Exp: &ExpRequestPayload{Name: "grid", TimeoutMS: 60_000, Grid: &scenario.Spec{
 			Name: "fig8-5d", Models: []string{"Llama3-8B", "Mixtral-8x7B"}, GPUs: []string{"A100"},
 			Fabrics:      []string{"electrical", "photonic", "provisioned", "static"},
 			LatenciesMS:  []float64{1, 10, 100},
 			Parallelisms: []scenario.Parallelism{{TP: 4, DP: 2, PP: 2}, {TP: 4, DP: 1, CP: 2, PP: 2}},
 			Schedules:    []string{"1F1B"}, NICPorts: 2, NICPerPortBps: 200e9,
 			Microbatches: 12, MicrobatchSize: 2, Iterations: 2,
+		}}},
+		{Type: MsgExpProgress, Seq: 9, Progress: &GridProgress{Done: 17, Total: 48}},
+		{Type: MsgExpResult, Seq: 9, ExpResult: &ExpResultPayload{
+			Name: "grid", Grid: "fig8-5d",
+			Rendered:    "Grid fig8-5d\ncell  status\n\n2 cells: 1 ok, 1 skipped\n",
+			RenderedCSV: "cell,model,gpu,fabric,latency_ms\n",
+			RowsJSON:    "{\n  \"grid\": \"fig8-5d\",\n  \"cells\": []\n}\n",
+			Shared:      true,
 		}},
-		{Type: MsgGridProgress, Seq: 10, Progress: &GridProgress{Done: 17, Total: 48}},
-		{Type: MsgGridResult, Seq: 11, Grid: &GridResultPayload{
-			Name: "fig8-5d",
-			Rows: []scenario.Row{
-				{Cell: "a/b/tp4-dp2-pp2/1F1B/photonic@10ms", Model: "Llama3-8B", GPU: "A100",
-					Fabric: "photonic", LatencyMS: 10, TP: 4, DP: 2, PP: 2, Schedule: "1F1B",
-					Status: "ok", MeanIterationSeconds: 12.3, Slowdown: 1.002, Reconfigurations: 52},
-				{Cell: "a/b/tp4-dp2-pp2/1F1B/static", Status: "skip", SkipReason: "C2"},
-			},
-			Shared: true,
-		}},
-		{Type: MsgStatsResp, Seq: 12, Cache: &CacheStatsPayload{Hits: 100, Misses: 7, Evictions: 3, InFlight: 2, GridsExecuted: 4, GridsDeduped: 9, ExpsExecuted: 2, ExpsDeduped: 5}},
+		{Type: MsgStatsResp, Seq: 12, Cache: &CacheStatsPayload{Hits: 100, Misses: 7, Evictions: 3, InFlight: 2, ExpsExecuted: 2, ExpsDeduped: 5}},
 		{Type: MsgExpReq, Seq: 13, Exp: &ExpRequestPayload{
 			Name: "fig8", TimeoutMS: 5000, Iterations: 2, LatenciesMS: []float64{0, 10, 100}, Rail: 1}},
 		{Type: MsgExpReq, Seq: 14, Exp: &ExpRequestPayload{
@@ -77,7 +74,7 @@ func FuzzMessageRoundTrip(f *testing.F) {
 			},
 			Shared: true}},
 		{Type: MsgStatsResp, Seq: 16, Cache: &CacheStatsPayload{
-			Hits: 3, Misses: 2, GridsExecuted: 1, CellsExecuted: 17, CellsDeduped: 2,
+			Hits: 3, Misses: 2, CellsExecuted: 17, CellsDeduped: 2,
 			Backends: []BackendStatsPayload{
 				{Addr: "127.0.0.1:9090", Healthy: true, Cells: 12},
 				{Addr: "127.0.0.1:9091", Healthy: false, Cells: 5, Failures: 1},
@@ -135,17 +132,18 @@ func FuzzMessageRoundTrip(f *testing.F) {
 }
 
 // TestGridMessagesRoundTrip pins the raild frames outside the fuzzer:
-// exact field-level equality through the wire, including nested spec,
-// row, and experiment payloads. The experiment result's pre-rendered
+// exact field-level equality through the wire, including a grid served
+// as exp_req "grid", a cell subset ticking as exp_progress, and nested
+// spec, row, and experiment payloads. The experiment result's pre-rendered
 // strings must survive verbatim (they are the client's output bytes).
 func TestGridMessagesRoundTrip(t *testing.T) {
 	spec := scenario.SpecOf(scenario.Fig8Grid5D())
 	msgs := []*Message{
-		{Type: MsgGridReq, Seq: 21, Spec: &spec},
-		{Type: MsgGridProgress, Seq: 21, Progress: &GridProgress{Done: 3, Total: 48}},
-		{Type: MsgGridResult, Seq: 21, Grid: &GridResultPayload{Name: "fig8-5d", Shared: true,
-			Rows: []scenario.Row{{Cell: "c", Status: "ok", Slowdown: 1.25}}}},
-		{Type: MsgStatsResp, Seq: 22, Cache: &CacheStatsPayload{Hits: 5, GridsExecuted: 1, GridsDeduped: 1, ExpsExecuted: 3, ExpsDeduped: 2}},
+		{Type: MsgExpReq, Seq: 21, Exp: &ExpRequestPayload{Name: "grid", Grid: &spec}},
+		{Type: MsgExpProgress, Seq: 21, Progress: &GridProgress{Done: 3, Total: 48}},
+		{Type: MsgExpResult, Seq: 21, ExpResult: &ExpResultPayload{Name: "grid", Grid: "fig8-5d", Shared: true,
+			RowsJSON: "{\n  \"grid\": \"fig8-5d\",\n  \"cells\": [\n    {\n      \"cell\": \"c\"\n    }\n  ]\n}\n"}},
+		{Type: MsgStatsResp, Seq: 22, Cache: &CacheStatsPayload{Hits: 5, ExpsExecuted: 3, ExpsDeduped: 2}},
 		{Type: MsgExpReq, Seq: 23, Exp: &ExpRequestPayload{
 			Name: "window-analysis", TimeoutMS: 30_000, WindowIterations: 4, GPUs: 1024, Grid: &spec}},
 		{Type: MsgExpProgress, Seq: 23, Progress: &GridProgress{Done: 1, Total: 9}},
@@ -158,6 +156,7 @@ func TestGridMessagesRoundTrip(t *testing.T) {
 		{Type: MsgCancel, Seq: 23},
 		{Type: MsgCellsReq, Seq: 24, Cells: &CellsRequestPayload{
 			Spec: &spec, Indices: []int{1, 2, 40}, TimeoutMS: 60_000}},
+		{Type: MsgExpProgress, Seq: 24, Progress: &GridProgress{Done: 2, Total: 3}},
 		{Type: MsgCellsResult, Seq: 24, CellsResult: &CellsResultPayload{
 			Name: "fig8-5d", Indices: []int{1, 2, 40},
 			Rows:   []scenario.Row{{Cell: "c1", Status: "ok", Slowdown: 1.5}, {Cell: "c2", Status: "skip", SkipReason: "EP"}, {Cell: "c40", Status: "ok"}},

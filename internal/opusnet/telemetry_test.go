@@ -14,7 +14,6 @@ import (
 func TestRegisterStatsMetricsMirrorsPayload(t *testing.T) {
 	payload := CacheStatsPayload{
 		Hits: 11, Misses: 7, Evictions: 3, InFlight: 2,
-		GridsExecuted: 4, GridsDeduped: 1,
 		ExpsExecuted: 5, ExpsDeduped: 2,
 		CellsExecuted: 96, CellsDeduped: 6,
 		BuildHits: 30, BuildMisses: 18,
@@ -43,13 +42,15 @@ func TestRegisterStatsMetricsMirrorsPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The grid_req counters retired with their frames.
+	if strings.Contains(sb.String(), "_grids_") {
+		t.Errorf("scrape still renders retired grids families:\n%s", sb.String())
+	}
 	want := map[string]float64{
 		"fleet_cache_hits_total":                      11,
 		"fleet_cache_misses_total":                    7,
 		"fleet_cache_evictions_total":                 3,
 		"fleet_cache_inflight":                        2,
-		"fleet_grids_executed_total":                  4,
-		"fleet_grids_deduped_total":                   1,
 		"fleet_exps_executed_total":                   5,
 		"fleet_exps_deduped_total":                    2,
 		"fleet_cells_executed_total":                  96,

@@ -43,7 +43,7 @@ func BenchmarkFleetGrid(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				if _, err := c.RunGrid(spec, nil); err != nil {
+				if _, err := runGrid(c, spec, nil); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()

@@ -102,6 +102,28 @@ func (fl *fleet) dial() (*railserve.Client, error) {
 	return railserve.NewClient(conn), nil
 }
 
+// gridResult is one grid served as exp_req "grid", its rows decoded
+// from the coordinator's JSON rendering.
+type gridResult struct {
+	Name   string
+	Rows   []scenario.Row
+	Shared bool
+}
+
+// runGrid submits spec as the registry experiment "grid" — the one
+// grid path — and decodes the rows the coordinator rendered.
+func runGrid(c *railserve.Client, spec scenario.Spec, onProgress func(done, total int)) (*gridResult, error) {
+	run, err := c.RunExperiment(context.Background(), opusnet.ExpRequestPayload{Name: "grid", Grid: &spec}, onProgress)
+	if err != nil {
+		return nil, err
+	}
+	var doc photonrail.GridRows
+	if err := json.Unmarshal([]byte(run.RowsJSON), &doc); err != nil {
+		return nil, err
+	}
+	return &gridResult{Name: run.Grid, Rows: doc.Cells, Shared: run.Shared}, nil
+}
+
 func rowsJSON(tb testing.TB, rows []scenario.Row) string {
 	tb.Helper()
 	b, err := json.Marshal(rows)
@@ -149,7 +171,7 @@ func TestFleetGridByteIdentical(t *testing.T) {
 	spec := scenario.SpecOf(scenario.Fig8Grid5D())
 	var mu sync.Mutex
 	var ticks []int
-	run, err := c.RunGrid(spec, func(done, total int) {
+	run, err := runGrid(c, spec, func(done, total int) {
 		if total != 48 {
 			t.Errorf("progress total = %d, want 48", total)
 		}
@@ -205,8 +227,8 @@ func TestFleetGridByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.GridsExecuted != 1 || st.GridsDeduped != 0 {
-		t.Errorf("coordinator grids executed/deduped = %d/%d, want 1/0", st.GridsExecuted, st.GridsDeduped)
+	if st.ExpsExecuted != 1 || st.ExpsDeduped != 0 {
+		t.Errorf("coordinator exps executed/deduped = %d/%d, want 1/0", st.ExpsExecuted, st.ExpsDeduped)
 	}
 	if len(st.Backends) != 3 {
 		t.Fatalf("stats carry %d backends, want 3", len(st.Backends))
@@ -252,7 +274,7 @@ func TestFleetFailoverMidGrid(t *testing.T) {
 	fl.net.Endpoint(fmt.Sprintf("b%d", victim)).KillAfterFrames(2)
 
 	c := fl.dialCoord(t)
-	run, err := c.RunGrid(scenario.SpecOf(scenario.Fig8Grid5D()), nil)
+	run, err := runGrid(c, scenario.SpecOf(scenario.Fig8Grid5D()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +321,7 @@ func TestFleetAllBackendsDead(t *testing.T) {
 	fl.net.Endpoint("b0").Kill()
 	fl.net.Endpoint("b1").Kill()
 	c := fl.dialCoord(t)
-	_, err := c.RunGrid(scenario.SpecOf(scenario.Grid{Name: "doomed", LatenciesMS: []float64{5}, Iterations: 1}), nil)
+	_, err := runGrid(c, scenario.SpecOf(scenario.Grid{Name: "doomed", LatenciesMS: []float64{5}, Iterations: 1}), nil)
 	if err == nil || !strings.Contains(err.Error(), "no live backends") {
 		t.Fatalf("err = %v, want no-live-backends", err)
 	}
@@ -319,7 +341,7 @@ func TestFleetDroppedProgressFrameHarmless(t *testing.T) {
 		LatenciesMS: []float64{5, 20},
 		Iterations:  1,
 	})
-	run, err := c.RunGrid(spec, nil)
+	run, err := runGrid(c, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,12 +395,12 @@ func TestFleetHeldBackendStallsThenCompletes(t *testing.T) {
 
 	c := fl.dialCoord(t)
 	type outcome struct {
-		run *railserve.GridRun
+		run *gridResult
 		err error
 	}
 	res := make(chan outcome, 1)
 	go func() {
-		run, err := c.RunGrid(spec, nil)
+		run, err := runGrid(c, spec, nil)
 		res <- outcome{run, err}
 	}()
 
@@ -419,18 +441,18 @@ func TestFleetSingleflightDedup(t *testing.T) {
 	fl := startFleet(t, 2, 8)
 	// Gate the fleet execution so the requests provably overlap.
 	gate := make(chan struct{})
-	fl.coord.setExecGate(gate)
+	fl.coord.core.SetExecGate(gate)
 	c1 := fl.dialCoord(t)
 	c2 := fl.dialCoord(t)
 	spec := scenario.SpecOf(scenario.Grid{Name: "dedup", LatenciesMS: []float64{5}, Iterations: 1})
 	type outcome struct {
-		run *railserve.GridRun
+		run *gridResult
 		err error
 	}
 	res := make(chan outcome, 2)
 	submit := func(c *railserve.Client) {
 		go func() {
-			run, err := c.RunGrid(spec, nil)
+			run, err := runGrid(c, spec, nil)
 			res <- outcome{run, err}
 		}()
 	}
@@ -442,7 +464,7 @@ func TestFleetSingleflightDedup(t *testing.T) {
 	submit(c2)
 	waitEvent(t, fl.coord.Telemetry(), func(ev telemetry.Event) bool { return ev.Type == "deduped" })
 	close(gate)
-	var runs []*railserve.GridRun
+	var runs []*gridResult
 	for i := 0; i < 2; i++ {
 		out := <-res
 		if out.err != nil {
@@ -537,7 +559,7 @@ func TestFleetExpPathByteIdenticalToDaemon(t *testing.T) {
 func TestFleetExpCancelPropagates(t *testing.T) {
 	fl := startFleet(t, 2, 8)
 	gate := make(chan struct{})
-	fl.coord.setExecGate(gate)
+	fl.coord.core.SetExecGate(gate)
 	defer close(gate)
 	c := fl.dialCoord(t)
 	spec := scenario.SpecOf(scenario.Grid{Name: "cancel", LatenciesMS: []float64{5}, Iterations: 1})
@@ -601,7 +623,7 @@ func TestFleetProxiesNonGridExperiments(t *testing.T) {
 func TestFleetRejectsBadRequests(t *testing.T) {
 	fl := startFleet(t, 2, 8)
 	c := fl.dialCoord(t)
-	if _, err := c.RunGrid(scenario.Spec{Models: []string{"GPT-9"}}, nil); err == nil ||
+	if _, err := runGrid(c, scenario.Spec{Models: []string{"GPT-9"}}, nil); err == nil ||
 		!strings.Contains(err.Error(), "unknown model") {
 		t.Errorf("bad model error = %v", err)
 	}
@@ -611,7 +633,7 @@ func TestFleetRejectsBadRequests(t *testing.T) {
 		LatenciesMS:  make([]float64, 50_000),
 		Fabrics:      []scenario.FabricKind{scenario.Photonic},
 	})
-	if _, err := c.RunGrid(bomb, nil); err == nil || !strings.Contains(err.Error(), "request cap") {
+	if _, err := runGrid(c, bomb, nil); err == nil || !strings.Contains(err.Error(), "request cap") {
 		t.Errorf("cross-product bomb error = %v", err)
 	}
 	if _, err := c.RunExperiment(context.Background(), opusnet.ExpRequestPayload{Name: "fig99"}, nil); err == nil ||
@@ -623,5 +645,50 @@ func TestFleetRejectsBadRequests(t *testing.T) {
 		if st := s.Stats(); st.CellsExecuted != 0 || st.Misses != 0 {
 			t.Errorf("backend %d stats = %+v, want untouched", i, st)
 		}
+	}
+}
+
+// TestFleetRetiredGridReqRefused: a raw grid_req frame — the retired
+// legacy grid protocol — gets a prompt MsgErr "unsupported message
+// type" on its own Seq from the coordinator, and the same connection
+// then serves an exp_req grid: an out-of-tree old client fails loudly
+// instead of hanging.
+func TestFleetRetiredGridReqRefused(t *testing.T) {
+	fl := startFleet(t, 1, 8)
+	conn, err := fl.net.Dial("coord")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	if err := conn.SetDeadline(time.Now().Add(30 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if err := opusnet.WriteMessage(conn, &opusnet.Message{Type: "grid_req", Seq: 7}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := opusnet.ReadMessage(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Type != opusnet.MsgErr || m.Seq != 7 || !strings.Contains(m.Error, "unsupported message type") {
+		t.Fatalf("grid_req reply = %+v, want MsgErr \"unsupported message type\" on seq 7", m)
+	}
+	spec := scenario.SpecOf(scenario.Grid{Name: "after-refusal", LatenciesMS: []float64{5}, Iterations: 1})
+	if err := opusnet.WriteMessage(conn, &opusnet.Message{Type: opusnet.MsgExpReq, Seq: 8,
+		Exp: &opusnet.ExpRequestPayload{Name: "grid", Grid: &spec}}); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		m, err := opusnet.ReadMessage(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Type == opusnet.MsgExpProgress {
+			continue
+		}
+		if m.Type != opusnet.MsgExpResult || m.Seq != 8 || m.ExpResult == nil || m.ExpResult.Grid != "after-refusal" {
+			t.Fatalf("exp_req reply after the refusal = %+v, want the grid result on seq 8", m)
+		}
+		return
 	}
 }

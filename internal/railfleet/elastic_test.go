@@ -228,12 +228,12 @@ func TestElasticFleetJoinDrainMidRequest(t *testing.T) {
 
 	c := fl.dialCoord()
 	type outcome struct {
-		run *railserve.GridRun
+		run *gridResult
 		err error
 	}
 	res := make(chan outcome, 1)
 	go func() {
-		run, err := c.RunGrid(scenario.SpecOf(scenario.Fig8Grid5D()), nil)
+		run, err := runGrid(c, scenario.SpecOf(scenario.Fig8Grid5D()), nil)
 		res <- outcome{run, err}
 	}()
 
@@ -380,7 +380,7 @@ func TestElasticMemberKilledMidGridFailsOver(t *testing.T) {
 	fl.net.Endpoint(fmt.Sprintf("b%d", victimIdx)).KillAfterFrames(2)
 
 	c := fl.dialCoord()
-	run, err := c.RunGrid(scenario.SpecOf(scenario.Fig8Grid5D()), nil)
+	run, err := runGrid(c, scenario.SpecOf(scenario.Fig8Grid5D()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +452,7 @@ func TestElasticFleetByteIdenticalAcrossMembershipHistory(t *testing.T) {
 	c := fl.dialCoord()
 	ctx := context.Background()
 	for round := 0; round < 4; round++ {
-		run, err := c.RunGrid(spec, nil)
+		run, err := runGrid(c, spec, nil)
 		if err != nil {
 			t.Fatalf("round %d (healthy members %v): %v", round, healthy, err)
 		}
@@ -572,7 +572,7 @@ func TestElasticHeartbeatStatsAndDeath(t *testing.T) {
 		return ev.Type == "leave" && ev.Member == "m1" && ev.Reason == "heartbeat timeout"
 	})
 	spec := scenario.SpecOf(scenario.Grid{Name: "refused", LatenciesMS: []float64{5}, Iterations: 1})
-	if _, err := c.RunGrid(spec, nil); err == nil || !strings.Contains(err.Error(), "no live backends") {
+	if _, err := runGrid(c, spec, nil); err == nil || !strings.Contains(err.Error(), "no live backends") {
 		t.Errorf("grid on a dead fleet = %v, want no-live-backends", err)
 	}
 
@@ -613,7 +613,7 @@ func TestStaticFleetRefusesRegistration(t *testing.T) {
 		t.Errorf("drain on a static fleet = %v, want registration-disabled refusal", err)
 	}
 	spec := scenario.SpecOf(scenario.Grid{Name: "still-static", LatenciesMS: []float64{5}, Iterations: 1})
-	if _, err := c.RunGrid(spec, nil); err != nil {
+	if _, err := runGrid(c, spec, nil); err != nil {
 		t.Fatalf("static fleet stopped serving after refused registrations: %v", err)
 	}
 }
@@ -668,7 +668,7 @@ func TestDeadStaticCostsNoDialsPerRequest(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		spec := scenario.SpecOf(scenario.Grid{Name: fmt.Sprintf("probe-%d", i), LatenciesMS: []float64{5}, Iterations: 1})
-		if _, err := c.RunGrid(spec, nil); err != nil {
+		if _, err := runGrid(c, spec, nil); err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
 		if n := dialsTo("b1"); n != 1 {
@@ -743,7 +743,7 @@ func TestReprobeLoopRevivesDeadStatic(t *testing.T) {
 	t.Cleanup(func() { _ = c.Close() })
 
 	spec := scenario.SpecOf(scenario.Grid{Name: "pre-revival", LatenciesMS: []float64{5}, Iterations: 1})
-	if _, err := c.RunGrid(spec, nil); err != nil {
+	if _, err := runGrid(c, spec, nil); err != nil {
 		t.Fatal(err)
 	}
 	// b1 failed its probe and is dead. Bring it back: the loop revives
@@ -764,7 +764,7 @@ func TestReprobeLoopRevivesDeadStatic(t *testing.T) {
 	if len(Assign(cells, all, []int{0, 1})[1]) == 0 {
 		t.Fatal("static position 1 owns no fig8-5d cells; pick a grid that splits")
 	}
-	if _, err := c.RunGrid(scenario.SpecOf(scenario.Fig8Grid5D()), nil); err != nil {
+	if _, err := runGrid(c, scenario.SpecOf(scenario.Fig8Grid5D()), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := servers[1].Stats().CellsExecuted; got == 0 {

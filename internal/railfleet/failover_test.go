@@ -119,10 +119,10 @@ func TestFleetRoutesAroundLegacyBackend(t *testing.T) {
 	t.Cleanup(func() { _ = c.Close() })
 
 	done := make(chan struct{})
-	var run *railserve.GridRun
+	var run *gridResult
 	var runErr error
 	go func() {
-		run, runErr = c.RunGrid(spec, nil)
+		run, runErr = runGrid(c, spec, nil)
 		close(done)
 	}()
 	select {
@@ -188,7 +188,7 @@ func TestFleetBatchTimeoutReshardsWedgedBackend(t *testing.T) {
 	c := railserve.NewClient(conn)
 	t.Cleanup(func() { _ = c.Close() })
 
-	run, err := c.RunGrid(spec, nil)
+	run, err := runGrid(c, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

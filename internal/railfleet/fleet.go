@@ -1,6 +1,7 @@
 package railfleet
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"sort"
@@ -244,7 +245,7 @@ func (b *backend) close() {
 // probed alive (first connect or a recovery from dead).
 func (f *Coordinator) noteStaticUp(b *backend) {
 	if b.revive() {
-		f.tel.Events.Emit(telemetry.Event{Type: "join", Member: b.id, Backend: b.address(), Capacity: 1})
+		f.Telemetry().Events.Emit(telemetry.Event{Type: "join", Member: b.id, Backend: b.address(), Capacity: 1})
 	}
 }
 
@@ -253,7 +254,7 @@ func (f *Coordinator) noteStaticUp(b *backend) {
 // revives it — and emits the leave event if it had been announced live.
 func (f *Coordinator) noteStaticDown(b *backend, reason string) {
 	if b.markDead() {
-		f.tel.Events.Emit(telemetry.Event{Type: "leave", Member: b.id, Backend: b.address(), Reason: reason})
+		f.Telemetry().Events.Emit(telemetry.Event{Type: "leave", Member: b.id, Backend: b.address(), Reason: reason})
 	}
 }
 
@@ -377,13 +378,12 @@ const DefaultReprobeInterval = 2 * time.Second
 // request path skips them entirely, so this loop is the only thing
 // (besides the empty-fleet rescue probe) that brings a restarted
 // static daemon back into the rotation.
-func (f *Coordinator) reprobeLoop(interval time.Duration) {
-	defer f.wg.Done()
+func (f *Coordinator) reprobeLoop(ctx context.Context, interval time.Duration) {
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-f.baseCtx.Done():
+		case <-ctx.Done():
 			return
 		case <-ticker.C:
 		}

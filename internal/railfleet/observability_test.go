@@ -21,7 +21,7 @@ import (
 func scrapeCounters(t *testing.T, f *Coordinator) map[string]float64 {
 	t.Helper()
 	var b strings.Builder
-	f.tel.Metrics.Render(&b)
+	f.Telemetry().Metrics.Render(&b)
 	all, err := telemetry.ParseSamples(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestFleetStatsMonotonicAcrossBackendKill(t *testing.T) {
 	c := fl.dialCoord(t)
 
 	spec := scenario.SpecOf(scenario.Fig8Grid5D())
-	if _, err := c.RunGrid(spec, nil); err != nil {
+	if _, err := runGrid(c, spec, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -136,7 +136,7 @@ func TestFleetStatsAfterClose(t *testing.T) {
 	c := fl.dialCoord(t)
 
 	spec := scenario.SpecOf(scenario.Grid{Name: "pre-close", LatenciesMS: []float64{5}, Iterations: 1})
-	if _, err := c.RunGrid(spec, nil); err != nil {
+	if _, err := runGrid(c, spec, nil); err != nil {
 		t.Fatal(err)
 	}
 	st1, err := c.Stats() // retains per-backend payloads
@@ -166,8 +166,8 @@ func TestFleetStatsAfterClose(t *testing.T) {
 			t.Errorf("backend %s reported healthy after Close", b.Addr)
 		}
 	}
-	if st2.GridsExecuted != st1.GridsExecuted {
-		t.Errorf("post-Close grids executed = %d, want %d", st2.GridsExecuted, st1.GridsExecuted)
+	if st2.ExpsExecuted != st1.ExpsExecuted {
+		t.Errorf("post-Close exps executed = %d, want %d", st2.ExpsExecuted, st1.ExpsExecuted)
 	}
 	for name, v1 := range aggCounters(st1) {
 		if v2 := aggCounters(st2)[name]; v2 < v1 {
@@ -235,7 +235,7 @@ func TestFleetObservabilityEndToEnd(t *testing.T) {
 	}
 	fl.net.Endpoint(fmt.Sprintf("b%d", victim)).KillAfterFrames(2)
 
-	run, err := c.RunGrid(scenario.SpecOf(scenario.Fig8Grid5D()), nil)
+	run, err := runGrid(c, scenario.SpecOf(scenario.Fig8Grid5D()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestFleetObservabilityEndToEnd(t *testing.T) {
 		"railfleet_cache_hits_total":                    st.Hits,
 		"railfleet_cache_misses_total":                  st.Misses,
 		"railfleet_cells_executed_total":                st.CellsExecuted,
-		"railfleet_grids_executed_total":                st.GridsExecuted,
+		"railfleet_exps_executed_total":                 st.ExpsExecuted,
 		"railfleet_stage_hits_total{stage=\"build\"}":   st.BuildHits,
 		"railfleet_stage_misses_total{stage=\"build\"}": st.BuildMisses,
 		"railfleet_stage_hits_total{stage=\"time\"}":    st.TimeHits,

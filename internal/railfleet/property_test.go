@@ -82,7 +82,7 @@ func TestFleetPropertyByteIdenticalNoDuplicatedWork(t *testing.T) {
 
 		fl := startFleet(t, 3, 3)
 		c := fl.dialCoord(t)
-		run, err := c.RunGrid(spec, nil)
+		run, err := runGrid(c, spec, nil)
 		if err != nil {
 			t.Fatalf("trial %d fleet run (spec %+v): %v", trial, spec, err)
 		}

@@ -3,15 +3,15 @@
 // invocations work unchanged, pointed at it — but executes each grid
 // across a fleet of backend raild daemons.
 //
-// For every grid_req (or grid-experiment exp_req) the coordinator
-// expands the grid locally, shards the cells across the live backends
-// by canonical workload key (see WorkloadKey/Assign: all fabric
-// variants of one workload colocate, so each electrical baseline
-// simulates exactly once fleet-wide), fans the shards out as
-// cells_req batches bounded by a per-backend in-flight cap, merges the
-// partial rows back into canonical expansion order, and streams
-// aggregated grid_progress — the fleet's output is byte-identical to a
-// single daemon's.
+// For every grid experiment (exp_req "grid", or a built-in grid name)
+// the coordinator expands the grid locally, shards the cells across the
+// live backends by canonical workload key (see WorkloadKey/Assign: all
+// fabric variants of one workload colocate, so each electrical baseline
+// simulates exactly once fleet-wide), fans the shards out as cells_req
+// batches bounded by a per-backend in-flight cap, merges the partial
+// rows back into canonical expansion order, renders them once, and
+// streams aggregated exp_progress — the fleet's output is
+// byte-identical to a single daemon's.
 //
 // Membership is elastic: besides the static -backends list (sharded by
 // fleet position, byte-identically to earlier releases), backends may
@@ -28,13 +28,14 @@
 // errors mid-grid has its unfinished cells re-sharded across the
 // survivors (wave by wave, until done or no backend is left), and a
 // failed static backend is re-probed in the background, so a restarted
-// daemon rejoins on its own. Request-level singleflight and
+// daemon rejoins on its own. The coordinator serves on raild's own
+// skeleton (railserve.Core), so request-level singleflight and
 // cancellation keep raild's semantics across the fan-out: identical
 // in-flight requests coalesce onto one fleet execution, a cancel frame
 // (or dropped connection, or TimeoutMS) stops only that request's
-// wait, and when the last experiment-path waiter departs the fleet
-// execution's context is cancelled — which cancels the outstanding
-// cells_req waits, sending cancel frames to the backends.
+// wait, and when the last waiter departs the fleet execution's context
+// is cancelled — which cancels the outstanding cells_req waits, sending
+// cancel frames to the backends.
 //
 // Non-grid experiments (fig4, table1, bom, …) are proxied to one
 // backend chosen by rendezvous hash of the experiment name, failing
@@ -42,7 +43,6 @@
 package railfleet
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -113,14 +113,11 @@ const DefaultInFlight = 16
 // it only fires on genuinely stuck backends.
 const DefaultBatchTimeout = 5 * time.Minute
 
-// eventRingCapacity bounds the coordinator's request-lifecycle event
-// ring (see the railserve twin): a fig8-5d fan-out emits a few hundred
-// sharded/cell_complete events, so 4096 retains several full grids.
-const eventRingCapacity = 4096
-
 // Coordinator is the fleet front end.
 type Coordinator struct {
-	ln           net.Listener
+	// core is raild's serving skeleton: accept loop, run table, request
+	// observer, base context.
+	core         *railserve.Core
 	static       []*backend
 	inFlight     int
 	batchTimeout time.Duration
@@ -134,47 +131,17 @@ type Coordinator struct {
 	// live in dynamic, keyed by member id, guarded by mu.
 	registry *railctl.Registry
 
-	// tel is the coordinator's observability surface: sampled
-	// stats_resp metrics (via Stats, so a scrape and a stats frame
-	// agree), live request gauges/histograms, the failover counter, and
-	// the lifecycle event ring.
-	tel        *telemetry.Set
-	reqSeq     atomic.Uint64
-	inflightG  *telemetry.Gauge
-	durations  *telemetry.HistogramVec
+	// failoversC and membersG join the core's request instruments and
+	// the sampled stats_resp mirror in the coordinator's telemetry set.
 	failoversC *telemetry.Counter
 	membersG   *telemetry.GaugeVec
 
-	// baseCtx parents every fleet execution and request wait; Close
-	// cancels it.
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
-
 	mu      sync.Mutex
-	runs    map[string]*fleetRun // resolved-grid key -> in-flight fleet execution
-	conns   map[net.Conn]bool
 	dynamic map[string]*backend // registered member id -> data-plane record
-	closed  bool
-	// Request-level counters, mirroring raild's: grid_req vs exp_req
-	// arrivals that started (or joined) a fleet execution.
-	gridsExecuted, gridsDeduped uint64
-	expsExecuted, expsDeduped   uint64
-
-	wg     sync.WaitGroup // accept loop + connection handlers
-	execWG sync.WaitGroup // fleet executions + result deliveries
-
-	// execGate, when non-nil, is received from before each fleet
-	// execution starts — the same test-only hook raild has, so the
-	// singleflight and cancellation tests hold a request in flight
-	// deterministically. Guarded by mu.
-	execGate <-chan struct{}
-}
-
-// setExecGate installs the test-only execution gate.
-func (f *Coordinator) setExecGate(gate <-chan struct{}) {
-	f.mu.Lock()
-	f.execGate = gate
-	f.mu.Unlock()
+	closed  bool                // backend records closed: no more dials
+	// Request-level counters, mirroring raild's: exp_req arrivals that
+	// started (or joined) a fleet execution or were proxied.
+	expsExecuted, expsDeduped atomic.Uint64
 }
 
 // New starts a coordinator for the given backends. Backends are dialed
@@ -191,17 +158,6 @@ func New(cfg Config) (*Coordinator, error) {
 			return net.DialTimeout("tcp", addr, 5*time.Second)
 		}
 	}
-	ln := cfg.Listener
-	if ln == nil {
-		addr := cfg.Addr
-		if addr == "" {
-			addr = "127.0.0.1:0"
-		}
-		var err error
-		if ln, err = net.Listen("tcp", addr); err != nil {
-			return nil, err
-		}
-	}
 	inFlight := cfg.InFlight
 	if inFlight <= 0 {
 		inFlight = DefaultInFlight
@@ -214,36 +170,29 @@ func New(cfg Config) (*Coordinator, error) {
 	if now == nil {
 		now = time.Now
 	}
-	//lint:allow ctxbg the coordinator's lifetime root: request contexts derive from it and Close cancels it
-	baseCtx, baseCancel := context.WithCancel(context.Background())
+	core, err := railserve.NewCore(cfg.Addr, cfg.Listener, "railfleet", "railfleet", cfg.Logf)
+	if err != nil {
+		return nil, err
+	}
 	f := &Coordinator{
-		ln:           ln,
+		core:         core,
 		inFlight:     inFlight,
 		batchTimeout: batchTimeout,
 		logf:         cfg.Logf,
 		dial:         dial,
 		now:          now,
-		baseCtx:      baseCtx,
-		baseCancel:   baseCancel,
-		runs:         make(map[string]*fleetRun),
-		conns:        make(map[net.Conn]bool),
 		dynamic:      make(map[string]*backend),
 	}
 	for i, addr := range cfg.Backends {
 		f.static = append(f.static, &backend{index: i, id: StaticID(i), static: true, addr: addr, dial: dial})
 	}
-	f.tel = telemetry.NewSet(eventRingCapacity, func() int64 { return time.Now().UnixNano() })
-	f.inflightG = f.tel.Metrics.Gauge("railfleet_requests_inflight",
-		"Requests admitted (validated and joined or started a fleet execution) and awaiting their final reply.")
-	f.durations = f.tel.Metrics.HistogramVec("railfleet_request_duration_seconds",
-		"Admitted-request wall time from arrival to final reply, by experiment (grid_req labels as \"grid\").",
-		telemetry.DefLatencyBuckets, "experiment")
-	f.failoversC = f.tel.Metrics.Counter("railfleet_failovers_total",
+	tel := core.Telemetry()
+	f.failoversC = tel.Metrics.Counter("railfleet_failovers_total",
 		"Backend failures mid-request whose work was re-sharded to (or retried on) the surviving backends.")
-	f.membersG = f.tel.Metrics.GaugeVec("railfleet_members",
+	f.membersG = tel.Metrics.GaugeVec("railfleet_members",
 		"Fleet members by membership state; static -backends entries count as healthy until a probe or batch failure marks them dead.",
 		"state")
-	f.tel.Metrics.OnScrape(f.sampleMembership)
+	tel.Metrics.OnScrape(f.sampleMembership)
 	if cfg.AllowRegistration {
 		f.registry = railctl.NewRegistry(railctl.Config{
 			TTL: cfg.HeartbeatTTL,
@@ -252,22 +201,21 @@ func New(cfg Config) (*Coordinator, error) {
 				if f.logf != nil {
 					f.logf("railfleet: member %s (%s): %s %s", ev.ID, ev.Addr, ev.Type, ev.Reason)
 				}
-				f.tel.Events.Emit(telemetry.Event{Type: ev.Type, Member: ev.ID,
+				tel.Events.Emit(telemetry.Event{Type: ev.Type, Member: ev.ID,
 					Backend: ev.Addr, Capacity: ev.Capacity, Reason: ev.Reason})
 			},
 		})
 	}
-	opusnet.RegisterStatsMetrics(f.tel.Metrics, "railfleet", f.Stats)
+	opusnet.RegisterStatsMetrics(tel.Metrics, "railfleet", f.Stats)
+	var loops []func(ctx context.Context)
 	reprobe := cfg.ReprobeInterval
 	if reprobe == 0 {
 		reprobe = DefaultReprobeInterval
 	}
 	if reprobe > 0 && len(f.static) > 0 {
-		f.wg.Add(1)
-		go f.reprobeLoop(reprobe)
+		loops = append(loops, func(ctx context.Context) { f.reprobeLoop(ctx, reprobe) })
 	}
-	f.wg.Add(1)
-	go f.acceptLoop()
+	core.Start(f.dispatch, loops...)
 	return f, nil
 }
 
@@ -299,78 +247,22 @@ func (f *Coordinator) sampleMembership() {
 // Telemetry exposes the coordinator's metrics registry and event log;
 // cmd/railfleet serves Telemetry().Handler() on -metrics-addr, and the
 // fleet tests wait deterministically on Telemetry().Events.
-func (f *Coordinator) Telemetry() *telemetry.Set { return f.tel }
-
-// reqObs carries one admitted request's observability lifecycle —
-// railserve's twin, over the coordinator's instruments.
-type reqObs struct {
-	tel       *telemetry.Set
-	inflightG *telemetry.Gauge
-	durations *telemetry.HistogramVec
-	id        string
-	exp       string
-	key       string
-	cells     int
-	start     time.Time
-}
-
-func (f *Coordinator) beginReq(expName, key string, cells int) *reqObs {
-	f.inflightG.Inc()
-	return &reqObs{
-		tel: f.tel, inflightG: f.inflightG, durations: f.durations,
-		id:  fmt.Sprintf("r%d", f.reqSeq.Add(1)),
-		exp: expName, key: key, cells: cells, start: time.Now(),
-	}
-}
-
-// admitted emits submitted/deduped; call with no coordinator lock held,
-// after the join decision is visible in the counters.
-func (ro *reqObs) admitted(shared bool) {
-	typ := "submitted"
-	if shared {
-		typ = "deduped"
-	}
-	ro.tel.Events.Emit(telemetry.Event{Type: typ, Req: ro.id, Exp: ro.exp, Key: ro.key, Cells: ro.cells})
-}
-
-// finish lands the request's one histogram sample and terminal event;
-// see the railserve twin for the contract.
-func (ro *reqObs) finish(err error, cancelled bool) {
-	d := time.Since(ro.start)
-	ro.durations.With(ro.exp).Observe(d.Seconds())
-	ro.inflightG.Dec()
-	typ := "result"
-	if cancelled {
-		typ = "cancel"
-	}
-	ev := telemetry.Event{Type: typ, Req: ro.id, Exp: ro.exp, Key: ro.key, Cells: ro.cells, DurationNS: d.Nanoseconds()}
-	if err != nil {
-		ev.Err = err.Error()
-	}
-	ro.tel.Events.Emit(ev)
-}
+func (f *Coordinator) Telemetry() *telemetry.Set { return f.core.Telemetry() }
 
 // Addr returns the listen address for clients to dial.
-func (f *Coordinator) Addr() string { return f.ln.Addr().String() }
+func (f *Coordinator) Addr() string { return f.core.Addr() }
 
 // Close stops accepting, tears down live connections, cancels in-flight
 // fleet executions, closes the backend connections, and waits for the
 // connection handlers. Like raild, executions are abandoned rather than
 // waited for (Drain exists for tests).
 func (f *Coordinator) Close() error {
-	f.mu.Lock()
-	f.closed = true
-	for conn := range f.conns {
-		_ = conn.Close()
-	}
-	f.mu.Unlock()
-	f.baseCancel()
-	err := f.ln.Close()
-	f.wg.Wait()
+	err := f.core.Close()
 	for _, b := range f.static {
 		b.close()
 	}
 	f.mu.Lock()
+	f.closed = true
 	dyn := make([]*backend, 0, len(f.dynamic))
 	for _, b := range f.dynamic { //lint:allow maporder collecting for close; order is immaterial
 		dyn = append(dyn, b)
@@ -383,7 +275,7 @@ func (f *Coordinator) Close() error {
 }
 
 // Drain waits for in-flight fleet executions and result deliveries.
-func (f *Coordinator) Drain() { f.execWG.Wait() }
+func (f *Coordinator) Drain() { f.core.Drain() }
 
 // statsTimeout bounds one backend's stats query inside an aggregated
 // Stats call, so a wedged backend degrades the aggregate instead of
@@ -408,15 +300,11 @@ const statsTimeout = 5 * time.Second
 // backend reported unhealthy — rather than racing the cancelled base
 // context.
 func (f *Coordinator) Stats() opusnet.CacheStatsPayload {
-	f.mu.Lock()
-	closed := f.closed
+	closed := f.core.Closed()
 	out := opusnet.CacheStatsPayload{
-		GridsExecuted: f.gridsExecuted,
-		GridsDeduped:  f.gridsDeduped,
-		ExpsExecuted:  f.expsExecuted,
-		ExpsDeduped:   f.expsDeduped,
+		ExpsExecuted: f.expsExecuted.Load(),
+		ExpsDeduped:  f.expsDeduped.Load(),
 	}
-	f.mu.Unlock()
 	snaps := make([]opusnet.BackendStatsPayload, len(f.static))
 	if closed {
 		for i, b := range f.static {
@@ -425,7 +313,7 @@ func (f *Coordinator) Stats() opusnet.CacheStatsPayload {
 			snaps[i] = snap
 		}
 	} else {
-		ctx, cancel := context.WithTimeout(f.baseCtx, statsTimeout)
+		ctx, cancel := context.WithTimeout(f.core.BaseCtx(), statsTimeout)
 		defer cancel()
 		var wg sync.WaitGroup
 		for i, b := range f.static {
@@ -494,56 +382,10 @@ func addStats(out *opusnet.CacheStatsPayload, bst opusnet.CacheStatsPayload, hea
 	out.SeedMisses += bst.SeedMisses
 }
 
-func (f *Coordinator) acceptLoop() {
-	defer f.wg.Done()
-	opusnet.AcceptLoop(f.ln,
-		func() bool {
-			f.mu.Lock()
-			defer f.mu.Unlock()
-			return f.closed
-		},
-		func(err error) {
-			if f.logf != nil {
-				f.logf("railfleet: accept: %v", err)
-			}
-		},
-		func(conn net.Conn) bool {
-			f.mu.Lock()
-			if f.closed {
-				f.mu.Unlock()
-				return false
-			}
-			f.conns[conn] = true
-			f.mu.Unlock()
-			f.wg.Add(1)
-			go f.handle(conn)
-			return true
-		})
-}
-
-// handle serves one client connection on opusnet's shared serving
-// skeleton — the same writer-goroutine, drop-advisory-frames,
-// close-on-wedge, cancellation-registry discipline raild uses (see
-// opusnet.ServeConn).
-func (f *Coordinator) handle(conn net.Conn) {
-	defer f.wg.Done()
-	defer func() {
-		f.mu.Lock()
-		delete(f.conns, conn)
-		f.mu.Unlock()
-		_ = conn.Close()
-	}()
-	opusnet.ServeConn(conn, f.dispatch)
-}
-
-func (f *Coordinator) dispatch(msg *opusnet.Message, reply func(*opusnet.Message, bool), cs *opusnet.ConnState) {
+func (f *Coordinator) dispatch(msg *opusnet.Message, reply func(*opusnet.Message, bool), cs *opusnet.ConnState) bool {
 	switch msg.Type {
-	case opusnet.MsgGridReq:
-		f.serveGrid(msg, reply)
 	case opusnet.MsgExpReq:
 		f.serveExp(msg, reply, cs)
-	case opusnet.MsgCancel:
-		cs.CancelSeq(msg.Seq)
 	case opusnet.MsgFleetRegister:
 		f.serveFleetRegister(msg, reply)
 	case opusnet.MsgHeartbeat:
@@ -552,16 +394,14 @@ func (f *Coordinator) dispatch(msg *opusnet.Message, reply func(*opusnet.Message
 		f.serveDrain(msg, reply)
 	case opusnet.MsgStatsReq:
 		seq := msg.Seq
-		f.execWG.Add(1)
-		go func() { // Stats queries backends; never block the read loop
-			defer f.execWG.Done()
+		f.core.Go(func() { // Stats queries backends; never block the read loop
 			st := f.Stats()
 			reply(&opusnet.Message{Type: opusnet.MsgStatsResp, Seq: seq, Cache: &st}, true)
-		}()
+		})
 	default:
-		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: msg.Seq,
-			Error: fmt.Sprintf("railfleet: unsupported message type %q", msg.Type)}, true)
+		return false
 	}
+	return true
 }
 
 // serveFleetRegister admits (or refreshes) a dynamic member. The
@@ -635,161 +475,18 @@ func (f *Coordinator) serveDrain(msg *opusnet.Message, reply func(*opusnet.Messa
 	reply(&opusnet.Message{Type: opusnet.MsgAck, Seq: seq}, true)
 }
 
-// fleetRun is one in-flight fleet grid execution with its subscribers;
-// both request paths (grid_req and grid-experiment exp_req) coalesce
-// onto it, keyed by the resolved grid. waiters is guarded by the
-// Coordinator mutex; grid_req waiters never depart (the legacy path
-// runs to completion), experiment waiters depart on cancel/deadline —
-// the last departure cancels the fan-out, which cancels the
-// outstanding cells_req waits on the backends.
-type fleetRun struct {
-	done     chan struct{}
-	gridName string
-	rows     []scenario.Row
-	err      error
-	cancel   context.CancelFunc
-	waiters  int // guarded by Coordinator.mu
-
-	mu   sync.Mutex
-	subs []func(done, total int)
-}
-
-func (r *fleetRun) subscribe(fn func(done, total int)) {
-	r.mu.Lock()
-	r.subs = append(r.subs, fn)
-	r.mu.Unlock()
-}
-
-func (r *fleetRun) broadcast(done, total int) {
-	r.mu.Lock()
-	subs := r.subs
-	r.mu.Unlock()
-	for _, fn := range subs {
-		fn(done, total)
-	}
-}
-
-// joinRun coalesces onto (or starts) the fleet execution for the
-// resolved grid; started reports whether this request started it.
-func (f *Coordinator) joinRun(key string, spec scenario.Spec, grid scenario.Grid) (run *fleetRun, started bool) {
-	f.mu.Lock()
-	gate := f.execGate
-	run, shared := f.runs[key]
-	if shared {
-		run.waiters++
-		f.mu.Unlock()
-		return run, false
-	}
-	runCtx, runCancel := context.WithCancel(f.baseCtx)
-	run = &fleetRun{done: make(chan struct{}), gridName: grid.Name, cancel: runCancel, waiters: 1}
-	f.runs[key] = run
-	f.mu.Unlock()
-	f.execWG.Add(1)
-	go func() {
-		defer f.execWG.Done()
-		if gate != nil {
-			<-gate // test-only hold, see execGate
-		}
-		run.rows, run.err = f.executeGrid(runCtx, spec, grid, run.broadcast)
-		f.mu.Lock()
-		if f.runs[key] == run {
-			delete(f.runs, key)
-		}
-		f.mu.Unlock()
-		runCancel()
-		close(run.done)
-	}()
-	return run, true
-}
-
-// depart drops one waiter; the last one leaving cancels the fan-out
-// and removes the run so a later identical request starts fresh.
-func (f *Coordinator) depart(key string, run *fleetRun) {
-	f.mu.Lock()
-	run.waiters--
-	last := run.waiters == 0
-	if last && f.runs[key] == run {
-		delete(f.runs, key)
-	}
-	f.mu.Unlock()
-	if last {
-		run.cancel()
-	}
-}
-
-// serveGrid is the legacy grid path across the fleet: validate exactly
-// as one daemon would, coalesce or start the fleet execution, stream
-// aggregated progress, and deliver the merged rows. As on raild, the
-// wait is not cancellable and the execution runs to completion.
-func (f *Coordinator) serveGrid(msg *opusnet.Message, reply func(*opusnet.Message, bool)) {
-	seq := msg.Seq
-	fail := func(err error) {
-		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: seq, Error: err.Error()}, true)
-	}
-	if msg.Spec == nil {
-		fail(fmt.Errorf("railfleet: grid request without a spec"))
-		return
-	}
-	grid, err := railserve.ValidateGridSpec(*msg.Spec)
-	if err != nil {
-		fail(err)
-		return
-	}
-	key := exp.Key("fleet", grid)
-	ro := f.beginReq("grid", key, grid.CellCount())
-	run, started := f.joinRun(key, *msg.Spec, grid)
-	f.mu.Lock()
-	if started {
-		f.gridsExecuted++
-	} else {
-		f.gridsDeduped++
-	}
-	f.mu.Unlock()
-	ro.admitted(!started)
-	if f.logf != nil {
-		if started {
-			f.logf("railfleet: grid %q: fanning out (%d cells)", grid.Name, grid.CellCount())
-		} else {
-			f.logf("railfleet: grid %q: joined in-flight fleet execution", grid.Name)
-		}
-	}
-	run.subscribe(func(done, total int) {
-		reply(&opusnet.Message{Type: opusnet.MsgGridProgress, Seq: seq,
-			Progress: &opusnet.GridProgress{Done: done, Total: total}}, false)
-	})
-	f.execWG.Add(1)
-	go func() {
-		defer f.execWG.Done()
-		<-run.done
-		ro.finish(run.err, false)
-		if run.err != nil {
-			fail(run.err)
-			return
-		}
-		reply(&opusnet.Message{Type: opusnet.MsgGridResult, Seq: seq, Grid: &opusnet.GridResultPayload{
-			Name:   run.gridName,
-			Rows:   run.rows,
-			Shared: !started,
-		}}, true)
-	}()
-}
-
 // serveExp serves exp_req at the coordinator: grid experiments fan out
-// across the fleet (coalescing with grid_req onto the same fleet
-// execution, rendered at the coordinator byte-identically to a raild
-// rendering); everything else is proxied to a backend.
+// across the fleet (rendered at the coordinator by raild's own
+// renderer); everything else is proxied to a backend.
 func (f *Coordinator) serveExp(msg *opusnet.Message, reply func(*opusnet.Message, bool), cs *opusnet.ConnState) {
 	seq := msg.Seq
-	fail := func(err error) {
-		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: seq, Error: err.Error()}, true)
-	}
 	req := msg.Exp
 	if req == nil {
-		fail(fmt.Errorf("railfleet: experiment request without a payload"))
+		railserve.ReplyErr(reply, seq, fmt.Errorf("railfleet: experiment request without a payload"))
 		return
 	}
 	if _, ok := photonrail.Lookup(req.Name); !ok {
-		fail(fmt.Errorf("railfleet: unknown experiment (see photonrail.Experiments; grids run via name %q)", "grid"))
+		railserve.ReplyErr(reply, seq, fmt.Errorf("railfleet: unknown experiment (see photonrail.Experiments; grids run via name %q)", "grid"))
 		return
 	}
 	if !photonrail.IsGridExperiment(req.Name) {
@@ -814,96 +511,39 @@ func (f *Coordinator) serveExp(msg *opusnet.Message, reply func(*opusnet.Message
 	}
 	grid, err := railserve.ValidateGridSpec(spec)
 	if err != nil {
-		fail(err)
+		railserve.ReplyErr(reply, seq, err)
 		return
 	}
-
-	wctx, wcancel := f.waitCtx(req.TimeoutMS)
-	if !cs.Register(seq, wcancel) {
-		wcancel()
-		return
-	}
+	// Every experiment naming the same resolved grid coalesces onto one
+	// fleet execution; each waiter's result carries its own name.
 	key := exp.Key("fleet", grid)
-	ro := f.beginReq(req.Name, key, grid.CellCount())
-	run, started := f.joinRun(key, spec, grid)
-	f.mu.Lock()
-	if started {
-		f.expsExecuted++
-	} else {
-		f.expsDeduped++
+	r := f.core.Begin(req.Name, key, grid.CellCount(), seq, req.TimeoutMS, cs)
+	if r == nil {
+		return
 	}
-	f.mu.Unlock()
-	ro.admitted(!started)
-	if f.logf != nil {
-		if started {
-			f.logf("railfleet: experiment %q: fanning out grid %q", req.Name, grid.Name)
-		} else {
-			f.logf("railfleet: experiment %q: joined in-flight fleet execution", req.Name)
-		}
-	}
-	run.subscribe(func(done, total int) {
-		reply(&opusnet.Message{Type: opusnet.MsgExpProgress, Seq: seq,
-			Progress: &opusnet.GridProgress{Done: done, Total: total}}, false)
-	})
-	f.execWG.Add(1)
-	go func() {
-		defer f.execWG.Done()
-		defer cs.Unregister(seq)
-		defer wcancel()
-		select {
-		case <-run.done:
-			if run.err != nil {
-				ro.finish(run.err, false)
-				fail(run.err)
-				return
+	f.core.Serve(r, railserve.Job{
+		Key:   key,
+		Label: fmt.Sprintf("experiment %q", req.Name),
+		Count: func(shared bool) {
+			if shared {
+				f.expsDeduped.Add(1)
+			} else {
+				f.expsExecuted.Add(1)
 			}
-			payload, err := renderGridPayload(req.Name, run.gridName, run.rows)
+		},
+		Execute: func(ctx context.Context, progress func(done, total int)) (any, error) {
+			rows, err := f.executeGrid(ctx, spec, grid, progress)
 			if err != nil {
-				ro.finish(err, false)
-				fail(err)
-				return
+				return nil, err
 			}
-			payload.Shared = !started
-			ro.finish(nil, false)
-			reply(&opusnet.Message{Type: opusnet.MsgExpResult, Seq: seq, ExpResult: payload}, true)
-		case <-wctx.Done():
-			f.depart(key, run)
-			ro.finish(wctx.Err(), true)
-			fail(fmt.Errorf("railfleet: experiment %q: %w", req.Name, wctx.Err()))
-		}
-	}()
-}
-
-// waitCtx bounds one request's wait under the base context.
-func (f *Coordinator) waitCtx(timeoutMS int64) (context.Context, context.CancelFunc) {
-	if timeoutMS > 0 {
-		return context.WithTimeout(f.baseCtx, time.Duration(timeoutMS)*time.Millisecond)
-	}
-	return context.WithCancel(f.baseCtx)
-}
-
-// renderGridPayload renders merged fleet rows exactly as a raild
-// daemon renders a completed grid experiment, so fleet output is
-// byte-identical to a single daemon's (and to the local CLIs').
-func renderGridPayload(expName, gridName string, rows []scenario.Row) (*opusnet.ExpResultPayload, error) {
-	res := photonrail.GridExperimentResult(gridName, rows)
-	var text, csv, rowsJSON bytes.Buffer
-	if err := res.RenderText(&text); err != nil {
-		return nil, err
-	}
-	if err := res.RenderCSV(&csv); err != nil {
-		return nil, err
-	}
-	if err := res.RenderJSON(&rowsJSON); err != nil {
-		return nil, err
-	}
-	return &opusnet.ExpResultPayload{
-		Name:        expName,
-		Grid:        gridName,
-		Rendered:    text.String(),
-		RenderedCSV: csv.String(),
-		RowsJSON:    rowsJSON.String(),
-	}, nil
+			return railserve.RenderExpPayload(req.Name, photonrail.GridExperimentResult(grid.Name, rows))
+		},
+		Result: func(payload any, shared bool) *opusnet.Message {
+			p := *(payload.(*opusnet.ExpResultPayload))
+			p.Name, p.Shared = req.Name, shared
+			return &opusnet.Message{Type: opusnet.MsgExpResult, ExpResult: &p}
+		},
+	}, reply)
 }
 
 // proxyExp forwards a non-grid experiment to one backend — chosen by
@@ -914,24 +554,14 @@ func renderGridPayload(expName, gridName string, rows []scenario.Row) (*opusnet.
 func (f *Coordinator) proxyExp(msg *opusnet.Message, reply func(*opusnet.Message, bool), cs *opusnet.ConnState) {
 	seq := msg.Seq
 	req := *msg.Exp
-	fail := func(err error) {
-		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: seq, Error: err.Error()}, true)
-	}
-	wctx, wcancel := f.waitCtx(req.TimeoutMS)
-	if !cs.Register(seq, wcancel) {
-		wcancel()
+	fail := func(err error) { railserve.ReplyErr(reply, seq, err) }
+	r := f.core.Begin(req.Name, "", 0, seq, req.TimeoutMS, cs)
+	if r == nil {
 		return
 	}
-	ro := f.beginReq(req.Name, "", 0)
-	f.mu.Lock()
-	f.expsExecuted++
-	f.mu.Unlock()
-	ro.admitted(false)
-	f.execWG.Add(1)
-	go func() {
-		defer f.execWG.Done()
-		defer cs.Unregister(seq)
-		defer wcancel()
+	f.expsExecuted.Add(1)
+	r.Admitted(false)
+	f.core.Go(func() {
 		order := f.proxyOrder(req.Name)
 		var lastErr error
 		for _, b := range order {
@@ -942,14 +572,14 @@ func (f *Coordinator) proxyExp(msg *opusnet.Message, reply func(*opusnet.Message
 				continue
 			}
 			f.noteStaticUp(b)
-			run, err := c.RunExperiment(wctx, req, func(done, total int) {
+			run, err := c.RunExperiment(r.Ctx, req, func(done, total int) {
 				reply(&opusnet.Message{Type: opusnet.MsgExpProgress, Seq: seq,
 					Progress: &opusnet.GridProgress{Done: done, Total: total}}, false)
 			})
 			if err != nil {
-				if wctx.Err() != nil {
-					ro.finish(wctx.Err(), true)
-					fail(fmt.Errorf("railfleet: experiment %q: %w", req.Name, wctx.Err()))
+				if werr := r.Ctx.Err(); werr != nil {
+					r.Finish(werr, true)
+					fail(fmt.Errorf("railfleet: experiment %q: %w", req.Name, werr))
 					return
 				}
 				if errors.Is(err, railserve.ErrConnDown) {
@@ -959,16 +589,16 @@ func (f *Coordinator) proxyExp(msg *opusnet.Message, reply func(*opusnet.Message
 					b.fail(c)
 					f.noteStaticDown(b, "failover")
 					f.failoversC.Inc()
-					f.tel.Events.Emit(telemetry.Event{Type: "failover", Req: ro.id, Exp: req.Name,
+					f.Telemetry().Events.Emit(telemetry.Event{Type: "failover", Req: r.ID, Exp: req.Name,
 						Backend: b.address(), Member: b.id, Err: err.Error()})
 					lastErr = err
 					continue
 				}
-				ro.finish(err, false)
+				r.Finish(err, false)
 				fail(err)
 				return
 			}
-			ro.finish(nil, false)
+			r.Finish(nil, false)
 			reply(&opusnet.Message{Type: opusnet.MsgExpResult, Seq: seq, ExpResult: &opusnet.ExpResultPayload{
 				Name: run.Name, Grid: run.Grid,
 				Rendered: run.Rendered, RenderedCSV: run.RenderedCSV, RowsJSON: run.RowsJSON,
@@ -977,9 +607,9 @@ func (f *Coordinator) proxyExp(msg *opusnet.Message, reply func(*opusnet.Message
 			return
 		}
 		err := fmt.Errorf("railfleet: no live backend served experiment %q (last error: %v)", req.Name, lastErr)
-		ro.finish(err, false)
+		r.Finish(err, false)
 		fail(err)
-	}()
+	})
 }
 
 // proxyOrder ranks the fleet's backends by weighted rendezvous score
@@ -1103,7 +733,7 @@ func (f *Coordinator) executeGrid(ctx context.Context, spec scenario.Spec, grid 
 		}
 		sort.Strings(shardOrder)
 		for _, id := range shardOrder {
-			f.tel.Events.Emit(telemetry.Event{Type: "sharded", Exp: grid.Name,
+			f.Telemetry().Events.Emit(telemetry.Event{Type: "sharded", Exp: grid.Name,
 				Backend: byID[id].address(), Member: id, Cells: len(assignment[id]), Wave: wave})
 		}
 		var wg sync.WaitGroup
@@ -1119,7 +749,7 @@ func (f *Coordinator) executeGrid(ctx context.Context, spec scenario.Spec, grid 
 						// Graceful departure: the unsubmitted remainder hands
 						// off to the next wave. No failover counter, no
 						// exclusion — this is the drain working as designed.
-						f.tel.Events.Emit(telemetry.Event{Type: "drain_handoff", Exp: grid.Name,
+						f.Telemetry().Events.Emit(telemetry.Event{Type: "drain_handoff", Exp: grid.Name,
 							Backend: b.address(), Member: b.id, Cells: len(idxs) - start, Wave: wave})
 						fmu.Lock()
 						failed = append(failed, idxs[start:]...)
@@ -1138,7 +768,7 @@ func (f *Coordinator) executeGrid(ctx context.Context, spec scenario.Spec, grid 
 							// The drain raced the batch: its connection may
 							// already be gone, but the departure is still
 							// graceful — hand off, don't count a failover.
-							f.tel.Events.Emit(telemetry.Event{Type: "drain_handoff", Exp: grid.Name,
+							f.Telemetry().Events.Emit(telemetry.Event{Type: "drain_handoff", Exp: grid.Name,
 								Backend: b.address(), Member: b.id, Cells: len(idxs) - start, Wave: wave})
 							fmu.Lock()
 							failed = append(failed, idxs[start:]...)
@@ -1151,7 +781,7 @@ func (f *Coordinator) executeGrid(ctx context.Context, spec scenario.Spec, grid 
 						}
 						f.noteStaticDown(b, "failover")
 						f.failoversC.Inc()
-						f.tel.Events.Emit(telemetry.Event{Type: "failover", Exp: grid.Name,
+						f.Telemetry().Events.Emit(telemetry.Event{Type: "failover", Exp: grid.Name,
 							Backend: b.address(), Member: b.id, Cells: len(idxs) - start, Wave: wave, Err: err.Error()})
 						fmu.Lock()
 						excluded[b.id] = true
@@ -1159,7 +789,7 @@ func (f *Coordinator) executeGrid(ctx context.Context, spec scenario.Spec, grid 
 						fmu.Unlock()
 						return
 					}
-					f.tel.Events.Emit(telemetry.Event{Type: "cell_complete", Exp: grid.Name,
+					f.Telemetry().Events.Emit(telemetry.Event{Type: "cell_complete", Exp: grid.Name,
 						Backend: b.address(), Member: b.id, Cells: end - start, Wave: wave})
 				}
 			}()

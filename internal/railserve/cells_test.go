@@ -24,7 +24,7 @@ func TestCellsSubsetMatchesGrid(t *testing.T) {
 	})
 	s := newTestServer(t, 0, 0)
 	c := dialTest(t, s)
-	full, err := c.RunGrid(spec, nil)
+	full, err := runGrid(c, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestCellsSingleflightDedup(t *testing.T) {
 	spec := scenario.SpecOf(scenario.Grid{Name: "dedup", LatenciesMS: []float64{5}, Iterations: 1})
 	s := newTestServer(t, 0, 0)
 	gate := make(chan struct{})
-	s.setExecGate(gate)
+	s.core.SetExecGate(gate)
 	c1 := dialTest(t, s)
 	c2 := dialTest(t, s)
 	indices := []int{0, 1}
@@ -151,7 +151,7 @@ func TestCellsCancelAndDeadline(t *testing.T) {
 	spec := scenario.SpecOf(scenario.Grid{Name: "cancel", LatenciesMS: []float64{5}, Iterations: 1})
 	s := newTestServer(t, 0, 0)
 	gate := make(chan struct{})
-	s.setExecGate(gate)
+	s.core.SetExecGate(gate)
 	c := dialTest(t, s)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -179,7 +179,7 @@ func TestCellsCancelAndDeadline(t *testing.T) {
 		t.Fatalf("deadline err = %v", err)
 	}
 	close(gate)
-	s.setExecGate(nil)
+	s.core.SetExecGate(nil)
 	if _, err := c.Stats(); err != nil {
 		t.Fatalf("connection unusable after cancels: %v", err)
 	}

@@ -19,9 +19,9 @@ import (
 // refusal a retry elsewhere would only repeat.
 var ErrConnDown = errors.New("railserve: connection down")
 
-// Client is a connection to a raild daemon. One client may pipeline
-// several concurrent RunGrid calls on the one connection; replies are
-// correlated by sequence number.
+// Client is a connection to a raild daemon (or a fleet coordinator).
+// One client may pipeline several concurrent requests on the one
+// connection; replies are correlated by sequence number.
 type Client struct {
 	conn net.Conn
 	// readDone closes when the reader goroutine exits; Close joins it,
@@ -95,7 +95,7 @@ func (c *Client) readLoop() {
 			c.mu.Unlock()
 			return
 		}
-		progress := msg.Type == opusnet.MsgGridProgress || msg.Type == opusnet.MsgExpProgress
+		progress := msg.Type == opusnet.MsgExpProgress
 		c.mu.Lock()
 		p, ok := c.pending[msg.Seq]
 		if ok && !progress {
@@ -139,44 +139,6 @@ func (c *Client) start(m *opusnet.Message, onProgress func(done, total int)) (*p
 		return nil, fmt.Errorf("%w: %v", ErrConnDown, err)
 	}
 	return p, nil
-}
-
-// GridRun is one executed grid as the daemon reported it.
-type GridRun struct {
-	// Name is the grid's name (for rendering).
-	Name string
-	// Rows are the executed cells in expansion order.
-	Rows []scenario.Row
-	// Shared reports the daemon coalesced this request onto an identical
-	// in-flight request from another client.
-	Shared bool
-}
-
-// RunGrid submits the grid spec and blocks until the daemon returns the
-// executed rows. onProgress, when non-nil, receives per-cell completion
-// ticks as the daemon streams them (calls are serialized per request;
-// ticks may be dropped on a slow connection — they are advisory).
-func (c *Client) RunGrid(spec scenario.Spec, onProgress func(done, total int)) (*GridRun, error) {
-	return c.RunGridCtx(context.Background(), spec, onProgress) //lint:allow ctxbg deprecated pre-context wrapper; callers with a context use RunGridCtx
-}
-
-// RunGridCtx is RunGrid bounded by ctx: on expiry the call is
-// abandoned client-side and ctx.Err() returned promptly (a best-effort
-// cancel frame is sent; the legacy grid path executes to completion
-// server-side either way, warming the daemon's cache).
-func (c *Client) RunGridCtx(ctx context.Context, spec scenario.Spec, onProgress func(done, total int)) (*GridRun, error) {
-	p, err := c.start(&opusnet.Message{Type: opusnet.MsgGridReq, Spec: &spec}, onProgress)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := p.awaitCtx(ctx, c)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Type != opusnet.MsgGridResult || resp.Grid == nil {
-		return nil, fmt.Errorf("railserve: unexpected reply %q to grid request", resp.Type)
-	}
-	return &GridRun{Name: resp.Grid.Name, Rows: resp.Grid.Rows, Shared: resp.Grid.Shared}, nil
 }
 
 // awaitCtx blocks for a call's final frame, bounded by ctx: on expiry a

@@ -1,12 +1,16 @@
 package railserve
 
 import (
+	"context"
 	"encoding/json"
+	"net"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"photonrail"
+	"photonrail/internal/opusnet"
 	"photonrail/internal/scenario"
 	"photonrail/internal/telemetry"
 )
@@ -33,6 +37,28 @@ func dialTest(t *testing.T, s *Server) *Client {
 	return c
 }
 
+// gridResult is one grid served as exp_req "grid", its rows decoded
+// from the daemon's JSON rendering.
+type gridResult struct {
+	Name   string
+	Rows   []scenario.Row
+	Shared bool
+}
+
+// runGrid submits spec as the registry experiment "grid" — the one
+// grid path — and decodes the rows the daemon rendered.
+func runGrid(c *Client, spec scenario.Spec, onProgress func(done, total int)) (*gridResult, error) {
+	run, err := c.RunExperiment(context.Background(), opusnet.ExpRequestPayload{Name: "grid", Grid: &spec}, onProgress)
+	if err != nil {
+		return nil, err
+	}
+	var doc photonrail.GridRows
+	if err := json.Unmarshal([]byte(run.RowsJSON), &doc); err != nil {
+		return nil, err
+	}
+	return &gridResult{Name: run.Grid, Rows: doc.Cells, Shared: run.Shared}, nil
+}
+
 func rowsJSON(t *testing.T, rows []scenario.Row) string {
 	t.Helper()
 	b, err := json.Marshal(rows)
@@ -44,10 +70,10 @@ func rowsJSON(t *testing.T, rows []scenario.Row) string {
 
 // TestLoopbackTwoConcurrentClientsDedup is the end-to-end loopback
 // test: an in-process raild serves two concurrent railclient sessions
-// requesting the same fig8-5d grid. The daemon must coalesce them onto
-// one execution (request-level singleflight: exactly one grid
-// execution, zero additional simulations for the second client) and
-// hand both byte-identical results.
+// requesting the same fig8-5d grid (exp_req "grid"). The daemon must
+// coalesce them onto one execution (request-level singleflight: exactly
+// one execution, zero additional simulations for the second client),
+// stream exp_progress to both, and hand both byte-identical results.
 func TestLoopbackTwoConcurrentClientsDedup(t *testing.T) {
 	spec := scenario.SpecOf(scenario.Fig8Grid5D())
 	grid, err := spec.Resolve()
@@ -71,12 +97,12 @@ func TestLoopbackTwoConcurrentClientsDedup(t *testing.T) {
 	// Hold the execution at the gate until both requests are registered,
 	// so the dedup assertion is deterministic on any machine speed.
 	gate := make(chan struct{})
-	s.setExecGate(gate)
+	s.core.SetExecGate(gate)
 	c1 := dialTest(t, s)
 	c2 := dialTest(t, s)
 
 	type outcome struct {
-		run   *GridRun
+		run   *gridResult
 		err   error
 		ticks []int
 	}
@@ -85,7 +111,7 @@ func TestLoopbackTwoConcurrentClientsDedup(t *testing.T) {
 		go func() {
 			var mu sync.Mutex
 			var ticks []int
-			run, err := c.RunGrid(spec, func(done, total int) {
+			run, err := runGrid(c, spec, func(done, total int) {
 				if total != wantCells {
 					t.Errorf("progress total = %d, want %d", total, wantCells)
 				}
@@ -115,7 +141,7 @@ func TestLoopbackTwoConcurrentClientsDedup(t *testing.T) {
 	})
 	close(gate) // release the execution with both subscribers attached
 
-	var runs []*GridRun
+	var runs []*gridResult
 	allTicks := make([][]int, 0, 2)
 	for i := 0; i < 2; i++ {
 		out := <-results
@@ -140,13 +166,13 @@ func TestLoopbackTwoConcurrentClientsDedup(t *testing.T) {
 		t.Errorf("shared flags = %v/%v, want exactly one joined request", runs[0].Shared, runs[1].Shared)
 	}
 
-	// Request-level dedup: one grid execution, one coalesced request.
+	// Request-level dedup: one execution, one coalesced request.
 	st, err := c1.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.GridsExecuted != 1 || st.GridsDeduped != 1 {
-		t.Fatalf("grids executed/deduped = %d/%d, want 1/1", st.GridsExecuted, st.GridsDeduped)
+	if st.ExpsExecuted != 1 || st.ExpsDeduped != 1 {
+		t.Fatalf("exps executed/deduped = %d/%d, want 1/1", st.ExpsExecuted, st.ExpsDeduped)
 	}
 	// Zero additional simulations: the daemon ran exactly the misses one
 	// local execution needs, no matter how many clients asked.
@@ -191,7 +217,7 @@ func TestRejectsOversizedGridBeforeExecuting(t *testing.T) {
 	})
 	s := newTestServer(t, 1, 0)
 	c := dialTest(t, s)
-	_, err := c.RunGrid(spec, nil)
+	_, err := runGrid(c, spec, nil)
 	if err == nil || !strings.Contains(err.Error(), "request cap") {
 		t.Fatalf("oversized grid error = %v", err)
 	}
@@ -205,7 +231,7 @@ func TestRejectsOversizedGridBeforeExecuting(t *testing.T) {
 		LatenciesMS:  make([]float64, 50_000),
 		Fabrics:      []scenario.FabricKind{scenario.Photonic},
 	})
-	if _, err := c.RunGrid(bomb, nil); err == nil || !strings.Contains(err.Error(), "request cap") {
+	if _, err := runGrid(c, bomb, nil); err == nil || !strings.Contains(err.Error(), "request cap") {
 		t.Fatalf("cross-product bomb error = %v", err)
 	}
 
@@ -213,7 +239,7 @@ func TestRejectsOversizedGridBeforeExecuting(t *testing.T) {
 	if serr != nil {
 		t.Fatal(serr)
 	}
-	if st.GridsExecuted != 0 || st.Misses != 0 {
+	if st.ExpsExecuted != 0 || st.Misses != 0 {
 		t.Fatalf("stats = %+v, want zero executions for rejected grids", st)
 	}
 }
@@ -229,7 +255,7 @@ func TestWarmCacheAcrossSequentialRequests(t *testing.T) {
 	})
 	s := newTestServer(t, 0, 0)
 	c := dialTest(t, s)
-	first, err := c.RunGrid(spec, nil)
+	first, err := runGrid(c, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +263,7 @@ func TestWarmCacheAcrossSequentialRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := c.RunGrid(spec, nil)
+	second, err := runGrid(c, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,8 +277,8 @@ func TestWarmCacheAcrossSequentialRequests(t *testing.T) {
 	if st2.Misses != st1.Misses {
 		t.Fatalf("misses grew %d -> %d on a warm rerun", st1.Misses, st2.Misses)
 	}
-	if st2.GridsExecuted != 2 {
-		t.Fatalf("grids executed = %d, want 2 (sequential requests both execute)", st2.GridsExecuted)
+	if st2.ExpsExecuted != 2 {
+		t.Fatalf("exps executed = %d, want 2 (sequential requests both execute)", st2.ExpsExecuted)
 	}
 }
 
@@ -260,18 +286,18 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	s := newTestServer(t, 1, 0)
 	c := dialTest(t, s)
 
-	if _, err := c.RunGrid(scenario.Spec{Models: []string{"GPT-9"}}, nil); err == nil ||
+	if _, err := runGrid(c, scenario.Spec{Models: []string{"GPT-9"}}, nil); err == nil ||
 		!strings.Contains(err.Error(), "unknown model") {
 		t.Errorf("bad model error = %v", err)
 	}
-	if _, err := c.RunGrid(scenario.Spec{JitterFracs: []float64{2}}, nil); err == nil ||
+	if _, err := runGrid(c, scenario.Spec{JitterFracs: []float64{2}}, nil); err == nil ||
 		!strings.Contains(err.Error(), "jitter") {
 		t.Errorf("bad jitter error = %v", err)
 	}
 	// An unbounded name would make the result (or even the refusal)
 	// frame unencodable; the refusal must not echo it.
 	long := scenario.Spec{Name: strings.Repeat("n", 1<<20)}
-	if _, err := c.RunGrid(long, nil); err == nil ||
+	if _, err := runGrid(c, long, nil); err == nil ||
 		!strings.Contains(err.Error(), "byte limit") || len(err.Error()) > 200 {
 		t.Errorf("oversized name error = %.80v", err)
 	}
@@ -292,13 +318,13 @@ func TestPipelinedRequestsOneConnection(t *testing.T) {
 		scenario.SpecOf(scenario.Grid{Name: "p2", LatenciesMS: []float64{20}, Iterations: 1}),
 	}
 	var wg sync.WaitGroup
-	got := make([]*GridRun, len(specs))
+	got := make([]*gridResult, len(specs))
 	errs := make([]error, len(specs))
 	for i, spec := range specs {
 		wg.Add(1)
 		go func(i int, spec scenario.Spec) {
 			defer wg.Done()
-			got[i], errs[i] = c.RunGrid(spec, nil)
+			got[i], errs[i] = runGrid(c, spec, nil)
 		}(i, spec)
 	}
 	wg.Wait()
@@ -323,7 +349,7 @@ func TestBoundedDaemonEvicts(t *testing.T) {
 	})
 	s := newTestServer(t, 2, 1)
 	c := dialTest(t, s)
-	if _, err := c.RunGrid(spec, nil); err != nil {
+	if _, err := runGrid(c, spec, nil); err != nil {
 		t.Fatal(err)
 	}
 	st, err := c.Stats()
@@ -333,4 +359,53 @@ func TestBoundedDaemonEvicts(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Fatalf("stats = %+v, want evictions under a 1-unit budget", st)
 	}
+}
+
+// retiredGridReqRefused writes a raw grid_req frame — the retired
+// legacy grid protocol — on conn and checks the server answers it
+// promptly with MsgErr "unsupported message type" on the same Seq, then
+// serves an exp_req on the same connection: an out-of-tree old client
+// fails loudly instead of hanging, and the connection survives.
+func retiredGridReqRefused(t *testing.T, conn net.Conn) {
+	t.Helper()
+	if err := conn.SetDeadline(time.Now().Add(30 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if err := opusnet.WriteMessage(conn, &opusnet.Message{Type: "grid_req", Seq: 7}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := opusnet.ReadMessage(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Type != opusnet.MsgErr || m.Seq != 7 || !strings.Contains(m.Error, "unsupported message type") {
+		t.Fatalf("grid_req reply = %+v, want MsgErr \"unsupported message type\" on seq 7", m)
+	}
+	if err := opusnet.WriteMessage(conn, &opusnet.Message{Type: opusnet.MsgExpReq, Seq: 8,
+		Exp: &opusnet.ExpRequestPayload{Name: "table3"}}); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		m, err := opusnet.ReadMessage(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Type == opusnet.MsgExpProgress {
+			continue
+		}
+		if m.Type != opusnet.MsgExpResult || m.Seq != 8 || m.ExpResult == nil || m.ExpResult.Rendered == "" {
+			t.Fatalf("exp_req reply after the refusal = %+v, want the table3 result on seq 8", m)
+		}
+		return
+	}
+}
+
+func TestRetiredGridReqRefused(t *testing.T) {
+	s := newTestServer(t, 1, 0)
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	retiredGridReqRefused(t, conn)
 }

@@ -80,7 +80,8 @@ func TestExpLoopbackByteIdentical(t *testing.T) {
 }
 
 // TestExpGridThroughExpPath: a grid submitted via exp_req renders
-// byte-identically to the grid_req path's rows-based rendering.
+// byte-identically to the local registry run of the same grid, in all
+// three formats.
 func TestExpGridThroughExpPath(t *testing.T) {
 	spec := scenario.SpecOf(scenario.Grid{
 		Name:        "exp-grid",
@@ -97,21 +98,12 @@ func TestExpGridThroughExpPath(t *testing.T) {
 	if run.Grid != "exp-grid" {
 		t.Errorf("grid name = %q", run.Grid)
 	}
-	legacy, err := c.RunGrid(spec, nil)
-	if err != nil {
-		t.Fatal(err)
+	text, csv, rows := localRendering(t, "grid", photonrail.Params{Grid: &spec})
+	if run.Rendered != text || run.RenderedCSV != csv || run.RowsJSON != rows {
+		t.Errorf("remote grid diverged from local:\n got: %q\nwant: %q", run.Rendered, text)
 	}
-	// RowsJSON is the indented {"grid","cells"} document; spot-check the
-	// grid name and a stable cell name rather than comparing compact vs
-	// indented JSON forms.
 	if !strings.Contains(run.RowsJSON, "\"grid\": \"exp-grid\"") {
 		t.Errorf("RowsJSON = %.120q, want the {\"grid\",\"cells\"} document", run.RowsJSON)
-	}
-	if len(legacy.Rows) == 0 || !strings.Contains(run.RowsJSON, legacy.Rows[0].Cell) {
-		t.Errorf("RowsJSON missing cell %q", legacy.Rows[0].Cell)
-	}
-	if !strings.Contains(run.Rendered, "cells:") {
-		t.Errorf("Rendered = %.120q, want the table + footer", run.Rendered)
 	}
 }
 
@@ -122,7 +114,7 @@ func TestExpGridThroughExpPath(t *testing.T) {
 func TestExpCancelStopsOnlyRequester(t *testing.T) {
 	s := newTestServer(t, 0, 0)
 	gate := make(chan struct{})
-	s.setExecGate(gate)
+	s.core.SetExecGate(gate)
 	c1 := dialTest(t, s)
 	c2 := dialTest(t, s)
 	req := opusnet.ExpRequestPayload{Name: "fig8", Iterations: 1, LatenciesMS: []float64{0, 10}}
@@ -188,7 +180,7 @@ func TestExpCancelStopsOnlyRequester(t *testing.T) {
 func TestExpDeadline(t *testing.T) {
 	s := newTestServer(t, 0, 0)
 	gate := make(chan struct{})
-	s.setExecGate(gate)
+	s.core.SetExecGate(gate)
 	c := dialTest(t, s)
 	_, err := c.RunExperiment(context.Background(),
 		opusnet.ExpRequestPayload{Name: "table1", TimeoutMS: 50}, nil)
@@ -196,7 +188,7 @@ func TestExpDeadline(t *testing.T) {
 		t.Fatalf("deadline err = %v", err)
 	}
 	close(gate)
-	s.setExecGate(nil)
+	s.core.SetExecGate(nil)
 	// The connection survives; an ungated rerun succeeds.
 	run, err := c.RunExperiment(context.Background(), opusnet.ExpRequestPayload{Name: "table1"}, nil)
 	if err != nil {
@@ -292,27 +284,27 @@ func waitServerEvent(t *testing.T, s *Server, pred func(telemetry.Event) bool) {
 	}
 }
 
-// TestRunGridCtxTimeout: the legacy grid path's client-side deadline —
-// a gated execution makes the call block, the context expiry abandons
-// it promptly, and the connection stays usable.
-func TestRunGridCtxTimeout(t *testing.T) {
+// TestRunExperimentCtxTimeout: the client-side deadline — a gated
+// execution makes the call block, the context expiry abandons it
+// promptly (sending a cancel frame), and the connection stays usable.
+func TestRunExperimentCtxTimeout(t *testing.T) {
 	spec := scenario.SpecOf(scenario.Grid{Name: "slow", LatenciesMS: []float64{5}, Iterations: 1})
 	s := newTestServer(t, 0, 0)
 	gate := make(chan struct{})
-	s.setExecGate(gate)
+	s.core.SetExecGate(gate)
 	c := dialTest(t, s)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.RunGridCtx(ctx, spec, nil)
+	_, err := c.RunExperiment(ctx, opusnet.ExpRequestPayload{Name: "grid", Grid: &spec}, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
 	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("RunGridCtx took %v after expiry", d)
+		t.Fatalf("RunExperiment took %v after expiry", d)
 	}
 	close(gate)
-	s.setExecGate(nil)
+	s.core.SetExecGate(nil)
 	if _, err := c.Stats(); err != nil {
 		t.Fatalf("connection unusable after timeout: %v", err)
 	}

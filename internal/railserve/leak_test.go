@@ -84,7 +84,7 @@ func TestClientCloseJoinsReaderMidProgress(t *testing.T) {
 	release := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.RunGrid(spec, func(d, total int) {
+		_, err := runGrid(c, spec, func(d, total int) {
 			select {
 			case entered <- struct{}{}:
 			default:
