@@ -62,6 +62,21 @@ const (
 	costProgram = 1
 )
 
+// keyBufSize sizes the stack buffer a key is encoded into before its
+// one string allocation: a preset workload encodes in under 100 bytes,
+// the fig8-5d grid's parameters in under 200 (a longer key still
+// encodes correctly, on the heap).
+const keyBufSize = 256
+
+// stageKey starts a memo key: the plain "stage:" prefix the engine's
+// per-stage telemetry attributes by, then the key's tag. Callers append
+// the typed canonical encoding of everything the result depends on.
+func stageKey(b []byte, stage, tag string) []byte {
+	b = append(b, stage...)
+	b = append(b, ':')
+	return exp.AppendString(b, tag)
+}
+
 // maxInternedProfiles caps the Provision stage's profile intern table.
 // Interning is purely an optimization (sharing memoized speculation
 // plans between content-equal profiles), so when a long-running engine
@@ -198,7 +213,9 @@ func (en *Engine) Simulate(w Workload, f Fabric) (*Result, error) {
 // the workload on the same topology kind), and only the timed execution
 // runs here.
 func (en *Engine) SimulateCtx(ctx context.Context, w Workload, f Fabric) (*Result, error) {
-	return exp.CachedCostCtx(ctx, en.pool, "time:"+exp.Key("simulate", w, f), costSim, func(cctx context.Context) (*Result, error) {
+	var buf [keyBufSize]byte
+	key := string(f.appendKey(w.appendKey(stageKey(buf[:0], "time", "simulate"))))
+	return exp.CachedCostCtx(ctx, en.pool, key, costSim, func(cctx context.Context) (*Result, error) {
 		topoKind, mode, err := fabricRealization(f)
 		if err != nil {
 			return nil, err
@@ -217,7 +234,9 @@ func (en *Engine) SimulateCtx(ctx context.Context, w Workload, f Fabric) (*Resul
 // kind. Every Time- and Provision-stage run of the workload shares the
 // one cached Program.
 func (en *Engine) programCtx(ctx context.Context, w Workload, kind topo.FabricKind) (*workload.Program, error) {
-	return exp.CachedCostCtx(ctx, en.pool, "build:"+exp.Key(w, int(kind)), costProgram, func(context.Context) (*workload.Program, error) {
+	var buf [keyBufSize]byte
+	key := string(exp.AppendInt(w.appendKey(stageKey(buf[:0], "build", "program")), int(kind)))
+	return exp.CachedCostCtx(ctx, en.pool, key, costProgram, func(context.Context) (*workload.Program, error) {
 		return w.build(kind)
 	})
 }
@@ -238,7 +257,9 @@ func (en *Engine) programCtx(ctx context.Context, w Workload, kind topo.FabricKi
 // doesn't match, the loop falls back to full passes from the reactive
 // profile.
 func (en *Engine) provisionedStableCtx(ctx context.Context, w Workload, latencyMS float64) (*Result, error) {
-	return exp.CachedCostCtx(ctx, en.pool, "provision:"+exp.Key("provisioned-stable", w, latencyMS), costSim, func(cctx context.Context) (*Result, error) {
+	var buf [keyBufSize]byte
+	key := string(exp.AppendFloat(w.appendKey(stageKey(buf[:0], "provision", "provisioned-stable")), latencyMS))
+	return exp.CachedCostCtx(ctx, en.pool, key, costSim, func(cctx context.Context) (*Result, error) {
 		return en.provisionedStableStaged(cctx, w, latencyMS)
 	})
 }
@@ -255,7 +276,8 @@ func (en *Engine) provisionedStableStaged(ctx context.Context, w Workload, laten
 	if err != nil {
 		return nil, err
 	}
-	wkey := exp.Key("provision-seed", w)
+	// The seed namespace is unstaged and latency-free: the workload alone.
+	wkey := string(w.appendKey(exp.AppendString(nil, "provision-seed")))
 	best := reactive.inner
 	profile := en.internProfile(wkey, best.Profile)
 	if seed := en.lookupSeed(wkey); seed != nil && seed.Equal(profile) {
@@ -341,7 +363,9 @@ func (en *Engine) provisionedStable(w Workload, latencyMS float64) (*Result, err
 // run that the window analysis consumes. Traced results carry the full
 // per-op trace, so they weigh costTraced units in a bounded cache.
 func (en *Engine) simulateTracedCtx(ctx context.Context, w Workload) (*netsim.Result, error) {
-	return exp.CachedCostCtx(ctx, en.pool, "time:"+exp.Key("simulate-traced", w), costTraced, func(cctx context.Context) (*netsim.Result, error) {
+	var buf [keyBufSize]byte
+	key := string(w.appendKey(stageKey(buf[:0], "time", "simulate-traced")))
+	return exp.CachedCostCtx(ctx, en.pool, key, costTraced, func(cctx context.Context) (*netsim.Result, error) {
 		prog, err := en.programCtx(cctx, w, topo.FabricElectricalRail)
 		if err != nil {
 			return nil, err

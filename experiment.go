@@ -627,21 +627,37 @@ func DescribeExperiments(w io.Writer) error {
 }
 
 // ExperimentKey is the canonical content-address of one experiment
-// invocation: a stable hash over the registry name and every parameter
-// that can affect the result (OnProgress is observational and excluded).
-// The raild daemon keys its request-level singleflight on it, and the
+// invocation: the lowercase hex SHA-256 of the typed canonical encoding
+// (see package exp) of the registry name and every parameter that can
+// affect the result (OnProgress is observational and excluded). The
+// raild daemon keys its request-level singleflight on it, and the
 // railgate front door keys its durable result store on the same hash —
 // so identical requests coalesce in flight, dedup across daemons, and
-// resolve to one stored object across restarts. Parameters are hashed
-// as given: a zero value and its spelled-out default produce different
-// keys even though they run identically, matching the daemon's
-// singleflight behavior since PR 4.
+// resolve to one stored object across restarts. Parameters are encoded
+// as given, not with their defaults filled in: a zero value and its
+// spelled-out default may key differently even though they run
+// identically, while nil and empty LatenciesMS (both the paper
+// latencies) share a key. A nil Grid and a present, empty one key
+// differently: built-in grid experiments run their registered grid for
+// the first and the spec's paper defaults for the second.
 func ExperimentKey(name string, p Params) string {
-	var spec GridSpec
+	var buf [keyBufSize]byte
+	b := exp.AppendString(buf[:0], "exp")
+	return exp.HashKey(p.appendKey(exp.AppendString(b, name)))
+}
+
+// appendKey appends the parameters' canonical cache-key encoding.
+func (p Params) appendKey(b []byte) []byte {
+	b = exp.AppendInt(b, p.Iterations)
+	b = exp.AppendInt(b, p.WindowIterations)
+	b = exp.AppendFloats(b, p.LatenciesMS)
+	b = exp.AppendInt(b, p.Rail)
+	b = exp.AppendInt(b, p.GPUs)
+	b = exp.AppendBool(b, p.Grid != nil)
 	if p.Grid != nil {
-		spec = *p.Grid
+		b = p.Grid.AppendKey(b)
 	}
-	return exp.Key("exp", name, p.Iterations, p.WindowIterations, p.LatenciesMS, p.Rail, p.GPUs, spec)
+	return b
 }
 
 // ExperimentNames lists the registered experiment names, sorted.

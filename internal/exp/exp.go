@@ -29,6 +29,13 @@
 //     cancellation error is dropped rather than memoized, so a later
 //     request recomputes cleanly.
 //
+// Cache keys are strings built with the typed canonical encoding in
+// key.go: each keyed type appends its fields (length-prefixed strings,
+// varint ints, float bits, one-byte bools, length-carrying slices) to
+// a byte slice, so deriving a key neither formats nor reflects. Keys
+// of the form "stage:..." are attributed to that stage in StageStats;
+// keys that leave the process use HashKey's hex digest.
+//
 // Results are always gathered by submission index, never by completion
 // order, so a *successful* parallel run is byte-identical to a
 // sequential one as long as the jobs themselves are deterministic (the
@@ -41,8 +48,6 @@ package exp
 import (
 	"container/list"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"runtime"
 	"strings"
@@ -577,16 +582,4 @@ func MapProgressCtx[T any](ctx context.Context, e *Engine, n int, fn func(ctx co
 		}
 	}
 	return out, nil
-}
-
-// Key derives a canonical cache key from its parts: each part is
-// rendered with %#v — deterministic for the value-only structs the
-// experiments key on (fmt sorts map keys; do not pass pointers, whose
-// rendering includes addresses) — and hashed.
-func Key(parts ...any) string {
-	h := sha256.New()
-	for _, p := range parts {
-		fmt.Fprintf(h, "%#v\x1f", p)
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }

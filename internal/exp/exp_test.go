@@ -182,25 +182,6 @@ func TestNewDefaultsWorkers(t *testing.T) {
 	}
 }
 
-func TestKeyCanonical(t *testing.T) {
-	type cfg struct {
-		A int
-		B string
-	}
-	k1 := Key("sim", cfg{1, "x"}, 2.5)
-	k2 := Key("sim", cfg{1, "x"}, 2.5)
-	if k1 != k2 {
-		t.Fatal("identical parts hashed differently")
-	}
-	if k1 == Key("sim", cfg{2, "x"}, 2.5) {
-		t.Fatal("different parts collided")
-	}
-	// Part boundaries matter: ("ab", "c") != ("a", "bc").
-	if Key("ab", "c") == Key("a", "bc") {
-		t.Fatal("part boundary not canonical")
-	}
-}
-
 func TestMapProgressReportsEveryCompletion(t *testing.T) {
 	e := New(4)
 	var mu sync.Mutex

@@ -106,7 +106,7 @@ func TestMostRecentEntrySurvivesOversizedCost(t *testing.T) {
 func TestUnboundedNeverEvicts(t *testing.T) {
 	e := New(1)
 	for i := 0; i < 1000; i++ {
-		if _, err := CachedCost(e, Key("k", i), 100, func() (int, error) { return i, nil }); err != nil {
+		if _, err := CachedCost(e, HashKey(AppendInt(AppendString(nil, "k"), i)), 100, func() (int, error) { return i, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}

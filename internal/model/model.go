@@ -7,6 +7,7 @@ package model
 import (
 	"fmt"
 
+	"photonrail/internal/exp"
 	"photonrail/internal/units"
 )
 
@@ -61,6 +62,17 @@ func (s Spec) Validate() error {
 
 // IsMoE reports whether the MLP is mixture-of-experts.
 func (s Spec) IsMoE() bool { return s.Experts > 0 }
+
+// AppendKey appends the spec's canonical cache-key encoding (see
+// package exp): every field, in declaration order.
+func (s Spec) AppendKey(b []byte) []byte {
+	b = exp.AppendString(b, s.Name)
+	for _, v := range [...]int{s.Layers, s.Hidden, s.FFNHidden, s.Heads, s.KVHeads,
+		s.Vocab, s.SeqLen, s.BytesPerParam, s.BytesPerGrad, s.Experts, s.TopK} {
+		b = exp.AppendInt(b, v)
+	}
+	return b
+}
 
 // AttentionParams returns the per-layer attention parameter count:
 // Q and O projections are Hidden², K and V are Hidden×(Hidden·KV/Heads).
@@ -151,6 +163,14 @@ var (
 	H100 = GPU{Name: "H100", PeakFLOPS: 989e12, MFU: 0.40}
 	H200 = GPU{Name: "H200", PeakFLOPS: 989e12, MFU: 0.42}
 )
+
+// AppendKey appends the GPU's canonical cache-key encoding (see
+// package exp).
+func (g GPU) AppendKey(b []byte) []byte {
+	b = exp.AppendString(b, g.Name)
+	b = exp.AppendFloat(b, g.PeakFLOPS)
+	return exp.AppendFloat(b, g.MFU)
+}
 
 // ComputeTime converts a FLOP count into simulated compute time.
 func (g GPU) ComputeTime(flops int64) units.Duration {

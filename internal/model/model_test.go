@@ -163,3 +163,23 @@ func TestPerLayerTimeMagnitude(t *testing.T) {
 		t.Errorf("per-layer fwd time = %v, want 5-100ms", d)
 	}
 }
+
+// Every preset keys distinctly (the field-by-field coverage test lives
+// with the keyed photonrail types).
+func TestPresetKeysDistinct(t *testing.T) {
+	seen := map[string]string{}
+	for _, s := range Presets() {
+		k := string(s.AppendKey(nil))
+		if prev, dup := seen[k]; dup {
+			t.Fatalf("%s and %s share a key", prev, s.Name)
+		}
+		seen[k] = s.Name
+	}
+	for _, g := range GPUPresets() {
+		k := string(g.AppendKey(nil))
+		if prev, dup := seen[k]; dup {
+			t.Fatalf("%s and %s share a key", prev, g.Name)
+		}
+		seen[k] = g.Name
+	}
+}

@@ -516,7 +516,7 @@ func (f *Coordinator) serveExp(msg *opusnet.Message, reply func(*opusnet.Message
 	}
 	// Every experiment naming the same resolved grid coalesces onto one
 	// fleet execution; each waiter's result carries its own name.
-	key := exp.Key("fleet", grid)
+	key := exp.HashKey(grid.AppendKey(exp.AppendString(nil, "fleet")))
 	r := f.core.Begin(req.Name, key, grid.CellCount(), seq, req.TimeoutMS, cs)
 	if r == nil {
 		return

@@ -339,7 +339,7 @@ func (s *Server) serveCells(msg *opusnet.Message, reply func(*opusnet.Message, b
 		seen[idx] = true
 	}
 	indices := append([]int(nil), req.Indices...)
-	key := exp.Key("cells", grid, indices)
+	key := exp.HashKey(exp.AppendInts(grid.AppendKey(exp.AppendString(nil, "cells")), indices))
 	r := s.core.Begin("cells", key, len(indices), msg.Seq, req.TimeoutMS, cs)
 	if r == nil {
 		return

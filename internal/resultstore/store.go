@@ -193,38 +193,54 @@ func (s *Store) Stats() Stats {
 
 // Get returns the entry stored under key, refreshing its recency. A
 // corrupt object is removed (self-healing) and reported as a miss.
+//
+// The file is read and its mtime refreshed outside the store mutex, so
+// concurrent hits do not queue behind each other's disk I/O. The index
+// record is identified by pointer: a failed read drops the object only
+// while the index still holds the record the read started from, so an
+// object evicted or replaced by a concurrent Put in the meantime is
+// neither dropped nor counted twice.
 func (s *Store) Get(key string) (Entry, bool) {
-	if !validKey(key) {
-		s.mu.Lock()
-		s.stats.Misses++
-		s.mu.Unlock()
-		return Entry{}, false
-	}
+	var obj *object
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	obj, ok := s.index[key]
-	if !ok {
+	if validKey(key) {
+		obj = s.index[key]
+	}
+	if obj == nil {
 		s.stats.Misses++
+	}
+	s.mu.Unlock()
+	if obj == nil {
 		return Entry{}, false
 	}
-	data, err := os.ReadFile(s.path(key))
+	path := s.path(key)
+	data, err := os.ReadFile(path)
 	var ent Entry
 	if err == nil {
 		err = json.Unmarshal(data, &ent)
 	}
 	if err != nil {
-		// Torn by an external hand or corrupt on disk: drop the object so
-		// the next Put rewrites it cleanly.
-		s.dropLocked(key, obj)
-		s.stats.Errors++
+		s.mu.Lock()
+		defer s.mu.Unlock()
 		s.stats.Misses++
+		if s.index[key] == obj {
+			// Torn by an external hand or corrupt on disk: drop the
+			// object so the next Put rewrites it cleanly. Put renames
+			// and re-indexes under the mutex, so a matching record
+			// means no Put replaced the file that failed.
+			s.dropLocked(key, obj)
+			s.stats.Errors++
+		}
 		return Entry{}, false
 	}
 	now := s.now()
-	if chErr := os.Chtimes(s.path(key), now, now); chErr == nil {
+	touched := os.Chtimes(path, now, now) == nil
+	s.mu.Lock()
+	if touched && s.index[key] == obj {
 		obj.mtime = now
 	}
 	s.stats.Hits++
+	s.mu.Unlock()
 	return ent, true
 }
 

@@ -1,9 +1,12 @@
 package resultstore
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -228,5 +231,73 @@ func TestReopenEnforcesBound(t *testing.T) {
 		if _, ok := s.Get(k); !ok {
 			t.Fatalf("newest objects should survive the reopen trim (missing %s)", k[:8])
 		}
+	}
+}
+
+// TestConcurrentGetPutOneKeyWithTornFile races hits, rewrites and an
+// external tear on one key. Get reads outside the store mutex, so a
+// read can fail after a concurrent Put already replaced the object it
+// started from; the index must then keep the new object and account
+// its bytes once. Each goroutine draws its operations from its own
+// seed; run it under -race.
+func TestConcurrentGetPutOneKeyWithTornFile(t *testing.T) {
+	s := openTest(t, Config{})
+	key := testKey(3)
+	valid := map[string]bool{}
+	ents := make([]Entry, 3)
+	for i := range ents {
+		ents[i] = Entry{Experiment: "fig8", Rendered: strings.Repeat("row\n", i+1)}
+		valid[ents[i].Rendered] = true
+	}
+	if err := s.Put(key, ents[0]); err != nil {
+		t.Fatal(err)
+	}
+	const workers, ops = 4, 200
+	var gets atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < ops; i++ {
+				switch r := rng.Intn(10); {
+				case r < 6:
+					gets.Add(1)
+					if got, ok := s.Get(key); ok && !valid[got.Rendered] {
+						t.Errorf("Get served %q, never stored", got.Rendered)
+					}
+				case r < 9:
+					if err := s.Put(key, ents[rng.Intn(len(ents))]); err != nil {
+						t.Error(err)
+					}
+				default:
+					// An external hand tears the object in place.
+					_ = os.WriteFile(s.path(key), []byte("{torn"), 0o644)
+				}
+			}
+		}(int64(w + 1))
+	}
+	wg.Wait()
+	st := s.Stats()
+	if got := int64(st.Hits + st.Misses); got != gets.Load() {
+		t.Fatalf("hits+misses = %d, want %d Gets", got, gets.Load())
+	}
+	if st.Entries > 1 || st.Bytes < 0 {
+		t.Fatalf("stats = %+v after racing one key", st)
+	}
+	// Quiesced: one clean write must be served and accounted exactly.
+	if err := s.Put(key, ents[2]); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get(key); !ok || got != ents[2] {
+		t.Fatalf("Get after a clean Put = %+v, %v", got, ok)
+	}
+	info, err := os.Stat(s.path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Entries != 1 || st.Bytes != info.Size() {
+		t.Fatalf("stats = %+v, want 1 entry of %d bytes", st, info.Size())
 	}
 }

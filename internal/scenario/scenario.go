@@ -19,6 +19,7 @@ import (
 	"math"
 	"strings"
 
+	"photonrail/internal/exp"
 	"photonrail/internal/model"
 	"photonrail/internal/parallelism"
 	"photonrail/internal/report"
@@ -129,6 +130,23 @@ func (p Parallelism) String() string {
 	return sb.String()
 }
 
+// appendKey appends the coordinate's canonical cache-key encoding.
+func (p Parallelism) appendKey(b []byte) []byte {
+	for _, d := range [...]int{p.TP, p.DP, p.PP, p.CP, p.EP} {
+		b = exp.AppendInt(b, d)
+	}
+	return b
+}
+
+// appendParallelismsKey appends a parallelism dimension with its length.
+func appendParallelismsKey(b []byte, ps []Parallelism) []byte {
+	b = exp.AppendLen(b, len(ps))
+	for _, p := range ps {
+		b = p.appendKey(b)
+	}
+	return b
+}
+
 // Grid declares a scenario cross-product. Empty dimension slices take
 // single-element paper defaults, so the zero grid (plus a name) is the
 // §3.1 workload on electrical vs reactive-photonic fabrics.
@@ -151,6 +169,30 @@ type Grid struct {
 	Microbatches   int
 	MicrobatchSize int
 	Iterations     int
+}
+
+// AppendKey appends the grid's canonical cache-key encoding (see
+// package exp): every field, as given — defaults are not filled in.
+func (g Grid) AppendKey(b []byte) []byte {
+	b = exp.AppendString(b, g.Name)
+	b = exp.AppendLen(b, len(g.Models))
+	for _, m := range g.Models {
+		b = m.AppendKey(b)
+	}
+	b = exp.AppendLen(b, len(g.GPUs))
+	for _, gpu := range g.GPUs {
+		b = gpu.AppendKey(b)
+	}
+	b = exp.AppendInts(b, g.Fabrics)
+	b = exp.AppendFloats(b, g.LatenciesMS)
+	b = appendParallelismsKey(b, g.Parallelisms)
+	b = exp.AppendInts(b, g.Schedules)
+	b = exp.AppendFloats(b, g.JitterFracs)
+	b = exp.AppendBools(b, g.EagerRS)
+	b = g.NIC.AppendKey(b)
+	b = exp.AppendInt(b, g.Microbatches)
+	b = exp.AppendInt(b, g.MicrobatchSize)
+	return exp.AppendInt(b, g.Iterations)
 }
 
 // withDefaults returns a copy with paper defaults filled in.

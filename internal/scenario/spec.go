@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 
+	"photonrail/internal/exp"
 	"photonrail/internal/model"
 	"photonrail/internal/topo"
 	"photonrail/internal/units"
@@ -32,6 +33,25 @@ type Spec struct {
 	Microbatches   int           `json:"microbatches,omitempty"`
 	MicrobatchSize int           `json:"microbatchSize,omitempty"`
 	Iterations     int           `json:"iterations,omitempty"`
+}
+
+// AppendKey appends the spec's canonical cache-key encoding (see
+// package exp): every field, as given.
+func (s Spec) AppendKey(b []byte) []byte {
+	b = exp.AppendString(b, s.Name)
+	b = exp.AppendStrings(b, s.Models)
+	b = exp.AppendStrings(b, s.GPUs)
+	b = exp.AppendStrings(b, s.Fabrics)
+	b = exp.AppendFloats(b, s.LatenciesMS)
+	b = appendParallelismsKey(b, s.Parallelisms)
+	b = exp.AppendStrings(b, s.Schedules)
+	b = exp.AppendFloats(b, s.JitterFracs)
+	b = exp.AppendBools(b, s.EagerRS)
+	b = exp.AppendInt(b, s.NICPorts)
+	b = exp.AppendInt64(b, s.NICPerPortBps)
+	b = exp.AppendInt(b, s.Microbatches)
+	b = exp.AppendInt(b, s.MicrobatchSize)
+	return exp.AppendInt(b, s.Iterations)
 }
 
 // ParseSchedule parses the CLI/wire spelling of a pipeline schedule.

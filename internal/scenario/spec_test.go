@@ -144,3 +144,30 @@ func TestTableFromRowsMatchesResultTable(t *testing.T) {
 		t.Errorf("csv from rows diverged:\n%s\nvs\n%s", got, want)
 	}
 }
+
+// A spec and the grid it resolves to key consistently: equal specs give
+// equal keys, and resolving a grid's spec reproduces the grid's key —
+// the daemon keys its cell singleflight on the resolved grid.
+func TestAppendKeyFollowsRoundTrip(t *testing.T) {
+	g := Fig8Grid5D()
+	s := SpecOf(g)
+	if string(s.AppendKey(nil)) != string(SpecOf(g).AppendKey(nil)) {
+		t.Fatal("equal specs keyed differently")
+	}
+	back, err := s.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(back.AppendKey(nil)) != string(g.AppendKey(nil)) {
+		t.Fatal("resolved grid keyed differently from its source")
+	}
+	renamed := g
+	renamed.Name = "other"
+	if string(renamed.AppendKey(nil)) == string(g.AppendKey(nil)) {
+		t.Fatal("grids with different names share a key")
+	}
+	s.Schedules = []string{"gpipe"}
+	if string(s.AppendKey(nil)) == string(SpecOf(g).AppendKey(nil)) {
+		t.Fatal("specs with different schedules share a key")
+	}
+}

@@ -17,6 +17,7 @@ package topo
 import (
 	"fmt"
 
+	"photonrail/internal/exp"
 	"photonrail/internal/units"
 )
 
@@ -68,6 +69,13 @@ var (
 	TwoPort200G  = PortConfig{Ports: 2, PerPort: 200 * units.Gbps}
 	FourPort100G = PortConfig{Ports: 4, PerPort: 100 * units.Gbps}
 )
+
+// AppendKey appends the port configuration's canonical cache-key
+// encoding (see package exp).
+func (p PortConfig) AppendKey(b []byte) []byte {
+	b = exp.AppendInt(b, p.Ports)
+	return exp.AppendInt64(b, int64(p.PerPort))
+}
 
 // Total returns the aggregate NIC bandwidth across logical ports.
 func (p PortConfig) Total() units.Bandwidth {

@@ -212,3 +212,14 @@ func TestFabricKindString(t *testing.T) {
 		t.Error("FabricKind.String() empty")
 	}
 }
+
+func TestPortConfigKeysDistinct(t *testing.T) {
+	seen := map[string]PortConfig{}
+	for _, p := range []PortConfig{OnePort400G, TwoPort200G, FourPort100G, {Ports: 2, PerPort: 400 * units.Gbps}} {
+		k := string(p.AppendKey(nil))
+		if prev, dup := seen[k]; dup {
+			t.Fatalf("%+v and %+v share a key", prev, p)
+		}
+		seen[k] = p
+	}
+}

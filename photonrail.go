@@ -18,6 +18,7 @@ package photonrail
 import (
 	"fmt"
 
+	"photonrail/internal/exp"
 	"photonrail/internal/model"
 	"photonrail/internal/netsim"
 	"photonrail/internal/topo"
@@ -56,6 +57,14 @@ type Fabric struct {
 	ReconfigLatencyMS float64
 	// Provision enables Opus's speculative reconfiguration.
 	Provision bool
+}
+
+// appendKey appends the fabric's canonical cache-key encoding (see
+// package exp).
+func (f Fabric) appendKey(b []byte) []byte {
+	b = exp.AppendInt(b, int(f.Kind))
+	b = exp.AppendFloat(b, f.ReconfigLatencyMS)
+	return exp.AppendBool(b, f.Provision)
 }
 
 // FabricKind enumerates the fabric realizations.
@@ -103,6 +112,23 @@ type Workload struct {
 	JitterFrac float64
 	// UseGPipe switches the pipeline schedule from 1F1B to GPipe.
 	UseGPipe bool
+}
+
+// appendKey appends the workload's canonical cache-key encoding (see
+// package exp): every field, as given — zero values are not replaced
+// by their defaults.
+func (w Workload) appendKey(b []byte) []byte {
+	b = w.Model.AppendKey(b)
+	b = w.GPU.AppendKey(b)
+	b = exp.AppendInt(b, w.NumNodes)
+	b = exp.AppendInt(b, w.GPUsPerNode)
+	b = w.NIC.AppendKey(b)
+	for _, v := range [...]int{w.TP, w.DP, w.PP, w.CP, w.EP, w.Microbatches, w.MicrobatchSize, w.Iterations} {
+		b = exp.AppendInt(b, v)
+	}
+	b = exp.AppendBool(b, w.EagerRS)
+	b = exp.AppendFloat(b, w.JitterFrac)
+	return exp.AppendBool(b, w.UseGPipe)
 }
 
 // PaperWorkload returns the §3.1 measurement workload: Llama3-8B with

@@ -105,7 +105,10 @@ func (en *Engine) CostComparisonCtx(ctx context.Context) ([]cost.Fig7Row, error)
 	sizes := cost.PaperSizes()
 	cat := cost.DefaultCatalog()
 	return exp.MapCtx(ctx, en.pool, len(sizes), func(ctx context.Context, i int) (cost.Fig7Row, error) {
-		return exp.CachedCtx(ctx, en.pool, exp.Key("fig7-row", sizes[i], topo.DGXH200GPUsPerNode, cat),
+		// The catalog and node size are fixed here, so a row depends
+		// on its cluster size alone.
+		key := exp.HashKey(exp.AppendInt(exp.AppendString(nil, "fig7-row"), sizes[i]))
+		return exp.CachedCtx(ctx, en.pool, key,
 			func(context.Context) (cost.Fig7Row, error) {
 				rows, err := cost.Fig7([]int{sizes[i]}, topo.DGXH200GPUsPerNode, cat)
 				if err != nil {
