@@ -15,12 +15,15 @@
 //	railfleet -register                                  # elastic fleet: backends join themselves
 //	railfleet -register -backends host:9090              # mixed: statics plus self-registered
 //
-// Backends are dialed lazily and re-probed after failures, so the
+// Every backend is a member of one membership table. Static -backends
+// entries are members s0, s1, … in flag order: dialed lazily, marked
+// dead by a failed contact, and revived by a background probe, so the
 // fleet may come up (and restart) in any order. With -register the
 // fleet is elastic: raild daemons started with -coordinator register
 // themselves (weighting the cell shard by their advertised capacity),
 // keep alive via heartbeats bounded by -heartbeat-ttl, and drain
-// gracefully on SIGTERM — joining and leaving even mid-request.
+// gracefully on SIGTERM — joining and leaving even mid-request. A
+// registration may not claim a static member's id.
 package main
 
 import (

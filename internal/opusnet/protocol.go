@@ -223,8 +223,11 @@ type BackendStatsPayload struct {
 	// State is the membership state: "healthy", "draining", "drained",
 	// or "dead".
 	State string `json:"state,omitempty"`
-	// Static marks a -backends flag entry (probed by dialing) as
-	// opposed to a self-registered member (liveness from heartbeats).
+	// Static marks a -backends flag entry: a probe-kept member of the
+	// coordinator's one membership table, marked dead by a failed dial,
+	// batch or stats query and revived by the coordinator's background
+	// probe — as opposed to a self-registered member, whose liveness
+	// comes from its heartbeats.
 	Static bool `json:"static,omitempty"`
 	// LastHeartbeatAgeMS is the age of the newest heartbeat for dynamic
 	// members; absent for static backends, which do not heartbeat.

@@ -1,20 +1,30 @@
-// Package railctl is the fleet control plane: the membership registry
-// a coordinator embeds (self-registered backends, heartbeat liveness,
-// graceful drain) and the agent a raild daemon runs to participate.
+// Package railctl is the fleet control plane: the one membership table
+// a coordinator embeds and the agent a raild daemon runs to join it.
 //
 // The shape follows the related control planes: like zos nodes, a
 // backend dials in and registers identity + capacity, then keeps
 // itself alive with heartbeats that piggyback its serving stats; like
 // doublezero's controller, the coordinator owns membership state and
-// the data plane (cell sharding) reads it. Liveness is heartbeat-edge
-// driven — a member whose heartbeats stop past the TTL is marked dead
-// without any per-request dial probing — and departure is graceful: a
-// drain marks the member unassignable without counting as a failure.
+// the data plane (cell sharding) reads it.
+//
+// The table holds two kinds of member under one state machine.
+// Registered members are heartbeat-kept: one whose heartbeats stop
+// past the TTL is marked dead without any per-request dial probing,
+// and departure is graceful — a drain marks the member unassignable
+// without counting as a failure. Static members (a coordinator's
+// -backends list, added with AddStatic) are probe-kept: they never
+// expire by TTL, the wire frames cannot claim or drain their ids, and
+// their liveness moves only on the coordinator's contact edges
+// (MarkDead on a failed dial, batch or stats query; MarkAlive on a
+// successful one). Every transition of either kind emits through
+// Config.OnEvent.
 package railctl
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -68,11 +78,12 @@ type Config struct {
 	OnEvent func(Event)
 }
 
-// member is the registry's record of one dynamic backend.
+// member is the registry's record of one backend.
 type member struct {
 	id            string
 	addr          string
 	capacity      int
+	static        bool
 	state         State
 	lastHeartbeat time.Time
 	stats         opusnet.CacheStatsPayload
@@ -81,13 +92,17 @@ type member struct {
 
 // Member is one member's state snapshot as Members reports it.
 type Member struct {
-	ID            string
-	Addr          string
-	Capacity      int
-	State         State
+	ID       string
+	Addr     string
+	Capacity int
+	State    State
+	// Static marks a probe-kept member added with AddStatic; its
+	// LastHeartbeat stays zero.
+	Static        bool
 	LastHeartbeat time.Time
-	// Stats is the newest heartbeat-carried serving snapshot; HasStats
-	// distinguishes "reported zeros" from "never reported".
+	// Stats is the newest serving snapshot — heartbeat-carried, or
+	// recorded by MarkAlive for a static member; HasStats distinguishes
+	// "reported zeros" from "never reported".
 	Stats    opusnet.CacheStatsPayload
 	HasStats bool
 }
@@ -95,6 +110,12 @@ type Member struct {
 // ErrUnknownMember reports an operation on an identity the registry
 // has never seen (or forgot): the sender must re-register.
 var ErrUnknownMember = fmt.Errorf("railctl: unknown member")
+
+// staticErr refuses a wire frame aimed at a static member's id: a
+// registrant must not take a -backends entry's place (and its shard).
+func staticErr(m *member) error {
+	return fmt.Errorf("railctl: id %q is held by static backend %s", m.id, m.addr)
+}
 
 // Registry is the coordinator-side membership table. All methods are
 // safe for concurrent use; state transitions driven by the clock
@@ -136,14 +157,15 @@ func (r *Registry) emit(events []Event) {
 }
 
 // sweepLocked applies clock-driven transitions: a healthy or draining
-// member whose newest heartbeat is older than the TTL leaves — dead if
-// it was healthy, drained if it was already draining (its graceful
-// departure simply completed). Returns the leave events to emit.
+// registered member whose newest heartbeat is older than the TTL
+// leaves — dead if it was healthy, drained if it was already draining
+// (its graceful departure simply completed). Static members do not
+// heartbeat and are exempt. Returns the leave events to emit.
 func (r *Registry) sweepLocked() []Event {
 	cutoff := r.now().Add(-r.ttl)
 	var stale []*member
 	for _, m := range r.members {
-		if m.lastHeartbeat.Before(cutoff) && (m.state == StateHealthy || m.state == StateDraining) {
+		if !m.static && m.lastHeartbeat.Before(cutoff) && (m.state == StateHealthy || m.state == StateDraining) {
 			stale = append(stale, m)
 		}
 	}
@@ -167,7 +189,8 @@ func (r *Registry) sweepLocked() []Event {
 // Register upserts a member as healthy. A known identity re-registers
 // in place — a restarted daemon rejoins under its old identity and
 // keeps its rendezvous shard, whatever address its new listener got.
-// Capacity below 1 clamps to 1.
+// Capacity below 1 clamps to 1. An id held by a static member is
+// refused.
 func (r *Registry) Register(id, addr string, capacity int) error {
 	if id == "" {
 		return fmt.Errorf("railctl: register without an id")
@@ -181,6 +204,11 @@ func (r *Registry) Register(id, addr string, capacity int) error {
 	r.mu.Lock()
 	events := r.sweepLocked()
 	m, ok := r.members[id]
+	if ok && m.static {
+		r.mu.Unlock()
+		r.emit(events)
+		return staticErr(m)
+	}
 	if !ok {
 		m = &member{id: id}
 		r.members[id] = m
@@ -204,11 +232,11 @@ func (r *Registry) Register(id, addr string, capacity int) error {
 func (r *Registry) Heartbeat(id string, capacity int, stats *opusnet.CacheStatsPayload) error {
 	r.mu.Lock()
 	events := r.sweepLocked()
-	m, ok := r.members[id]
-	if !ok {
+	m, err := r.wireLocked(id)
+	if err != nil {
 		r.mu.Unlock()
 		r.emit(events)
-		return fmt.Errorf("%w %q", ErrUnknownMember, id)
+		return err
 	}
 	if capacity >= 1 {
 		m.capacity = capacity
@@ -234,15 +262,16 @@ func (r *Registry) Heartbeat(id string, capacity int, stats *opusnet.CacheStatsP
 // receives no new assignments, and its eventual silence counts as a
 // completed departure, not a death. Unknown identities error
 // (ErrUnknownMember) — already not a member, so callers may treat that
-// as success.
+// as success. A static member's id is refused: only its own probe
+// outcome moves it.
 func (r *Registry) Drain(id, reason string) error {
 	r.mu.Lock()
 	events := r.sweepLocked()
-	m, ok := r.members[id]
-	if !ok {
+	m, err := r.wireLocked(id)
+	if err != nil {
 		r.mu.Unlock()
 		r.emit(events)
-		return fmt.Errorf("%w %q", ErrUnknownMember, id)
+		return err
 	}
 	if m.state == StateHealthy || m.state == StateDead {
 		m.state = StateDraining
@@ -252,6 +281,63 @@ func (r *Registry) Drain(id, reason string) error {
 	r.mu.Unlock()
 	r.emit(events)
 	return nil
+}
+
+// wireLocked resolves the target of a heartbeat or drain frame: a
+// registered member, never a static one.
+func (r *Registry) wireLocked(id string) (*member, error) {
+	m, ok := r.members[id]
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("%w %q", ErrUnknownMember, id)
+	case m.static:
+		return nil, staticErr(m)
+	}
+	return m, nil
+}
+
+// AddStatic adds (or replaces) a probe-kept static member: healthy,
+// capacity 1, exempt from the TTL sweep. It emits the member's join.
+func (r *Registry) AddStatic(id, addr string) {
+	r.mu.Lock()
+	r.members[id] = &member{id: id, addr: addr, capacity: 1, static: true, state: StateHealthy}
+	r.mu.Unlock()
+	r.emit([]Event{{Type: "join", ID: id, Addr: addr, Capacity: 1}})
+}
+
+// MarkDead records a failed coordinator contact (dial, batch or stats
+// query) with a static member: a healthy one turns dead and leaves with
+// the given reason. Registered members ignore it — their liveness is
+// their heartbeats'.
+func (r *Registry) MarkDead(id, reason string) {
+	r.mu.Lock()
+	var events []Event
+	if m, ok := r.members[id]; ok && m.static && m.state == StateHealthy {
+		m.state = StateDead
+		events = append(events, Event{Type: "leave", ID: id, Addr: m.addr, Capacity: m.capacity, Reason: reason})
+	}
+	r.mu.Unlock()
+	r.emit(events)
+}
+
+// MarkAlive records a successful coordinator contact with a static
+// member: a dead one rejoins, and stats, when non-nil, become its
+// retained serving snapshot. Registered members ignore it.
+func (r *Registry) MarkAlive(id string, stats *opusnet.CacheStatsPayload) {
+	r.mu.Lock()
+	var events []Event
+	if m, ok := r.members[id]; ok && m.static {
+		if stats != nil {
+			m.stats = *stats
+			m.hasStats = true
+		}
+		if m.state == StateDead {
+			m.state = StateHealthy
+			events = append(events, Event{Type: "join", ID: id, Addr: m.addr, Capacity: m.capacity, Reason: "probe revival"})
+		}
+	}
+	r.mu.Unlock()
+	r.emit(events)
 }
 
 // Draining reports whether the member is departing (draining or
@@ -271,31 +357,38 @@ func (r *Registry) Draining(id string) bool {
 // Members returns every known member, sorted by ID, after applying
 // clock-driven transitions.
 func (r *Registry) Members() []Member {
+	return r.filter(func(*member) bool { return true })
+}
+
+// Assignable returns the members eligible for new work — healthy (and,
+// for registered members, with a fresh heartbeat) — sorted by ID.
+func (r *Registry) Assignable() []Member {
+	return r.filter(func(m *member) bool { return m.state == StateHealthy })
+}
+
+// DeadStatics returns the static members marked dead, sorted by ID:
+// the ones only a coordinator-side probe can bring back.
+func (r *Registry) DeadStatics() []Member {
+	return r.filter(func(m *member) bool { return m.static && m.state == StateDead })
+}
+
+// filter snapshots the members keep accepts, after applying
+// clock-driven transitions, sorted by ID.
+func (r *Registry) filter(keep func(*member) bool) []Member {
 	r.mu.Lock()
 	events := r.sweepLocked()
 	out := make([]Member, 0, len(r.members))
 	for _, m := range r.members { //lint:allow maporder sorted below
-		out = append(out, Member{
-			ID: m.id, Addr: m.addr, Capacity: m.capacity, State: m.state,
-			LastHeartbeat: m.lastHeartbeat, Stats: m.stats, HasStats: m.hasStats,
-		})
+		if keep(m) {
+			out = append(out, Member{
+				ID: m.id, Addr: m.addr, Capacity: m.capacity, State: m.state, Static: m.static,
+				LastHeartbeat: m.lastHeartbeat, Stats: m.stats, HasStats: m.hasStats,
+			})
+		}
 	}
 	r.mu.Unlock()
 	r.emit(events)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Assignable returns the members eligible for new work — healthy with
-// a fresh heartbeat — sorted by ID.
-func (r *Registry) Assignable() []Member {
-	all := r.Members()
-	out := all[:0]
-	for _, m := range all {
-		if m.State == StateHealthy {
-			out = append(out, m)
-		}
-	}
+	slices.SortFunc(out, func(a, b Member) int { return strings.Compare(a.ID, b.ID) })
 	return out
 }
 

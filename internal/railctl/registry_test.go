@@ -2,6 +2,7 @@ package railctl
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -208,5 +209,135 @@ func TestRegistryMembersSortedAndSnapshotted(t *testing.T) {
 	ms := r.Members()
 	if len(ms) != 3 || ms[0].ID != "alpha" || ms[1].ID != "mid" || ms[2].ID != "zeta" {
 		t.Fatalf("members = %+v, want sorted by id", ms)
+	}
+}
+
+// log renders the recorded events as "type:id:reason".
+func (r *recorder) log() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]string, len(r.events))
+	for i, ev := range r.events {
+		out[i] = ev.Type + ":" + ev.ID + ":" + ev.Reason
+	}
+	return out
+}
+
+func equalStrings(a, b []string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestStaticMemberNeverExpires: a static member does not heartbeat, so
+// the TTL sweep must leave it alone however far the clock moves, while
+// a registered member beside it dies on schedule.
+func TestStaticMemberNeverExpires(t *testing.T) {
+	r, ck, rec := newTestRegistry(t)
+	r.AddStatic("s0", "b0")
+	if err := r.Register("n0", "addr-n0", 2); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		ck.advance(time.Hour)
+		if m := memberByID(t, r, "s0"); m.State != StateHealthy || !m.Static || m.Capacity != 1 || !m.LastHeartbeat.IsZero() {
+			t.Fatalf("after %dh s0 = %+v, want healthy static capacity 1 with no heartbeat", i+1, m)
+		}
+	}
+	if got := r.Assignable(); len(got) != 1 || got[0].ID != "s0" {
+		t.Errorf("assignable = %+v, want only s0", got)
+	}
+	if got := r.DeadStatics(); len(got) != 0 {
+		t.Errorf("dead statics = %+v, want none", got)
+	}
+	want := []string{"join:s0:", "join:n0:", "leave:n0:heartbeat timeout"}
+	if got := rec.log(); !equalStrings(got, want) {
+		t.Errorf("events = %v, want %v", got, want)
+	}
+}
+
+// TestStaticMemberDeadAndReviveEdges: a static member's liveness moves
+// only on the coordinator's contact edges, each edge emits exactly one
+// event, and the same calls leave a registered member untouched.
+func TestStaticMemberDeadAndReviveEdges(t *testing.T) {
+	r, ck, rec := newTestRegistry(t)
+	r.AddStatic("s0", "b0")
+	if err := r.Register("n0", "addr-n0", 1); err != nil {
+		t.Fatal(err)
+	}
+
+	r.MarkDead("s0", "unreachable")
+	r.MarkDead("s0", "unreachable") // already dead: no second leave
+	if m := memberByID(t, r, "s0"); m.State != StateDead {
+		t.Fatalf("s0 state = %s after a failed contact, want dead", m.State)
+	}
+	if got := r.DeadStatics(); len(got) != 1 || got[0].ID != "s0" {
+		t.Fatalf("dead statics = %+v, want s0", got)
+	}
+	if got := r.Assignable(); len(got) != 1 || got[0].ID != "n0" {
+		t.Fatalf("assignable = %+v, want only n0", got)
+	}
+	ck.advance(time.Hour) // the sweep does not revive a dead static either
+	if m := memberByID(t, r, "s0"); m.State != StateDead {
+		t.Fatalf("s0 state = %s after the sweep, want still dead", m.State)
+	}
+
+	st := opusnet.CacheStatsPayload{CellsExecuted: 9, Misses: 4}
+	r.MarkAlive("s0", &st)
+	r.MarkAlive("s0", nil) // already healthy: no second join, stats kept
+	m := memberByID(t, r, "s0")
+	if m.State != StateHealthy || !m.HasStats || m.Stats.CellsExecuted != 9 || m.Stats.Misses != 4 {
+		t.Fatalf("revived s0 = %+v, want healthy with the recorded stats", m)
+	}
+	if got := r.DeadStatics(); len(got) != 0 {
+		t.Errorf("dead statics after revival = %+v, want none", got)
+	}
+
+	// Contact edges belong to static members only.
+	r.MarkDead("n0", "failover")
+	r.MarkAlive("n0", &st)
+	if n := memberByID(t, r, "n0"); n.State != StateDead || n.HasStats {
+		t.Errorf("n0 = %+v, want dead by TTL only and no probe-recorded stats", n)
+	}
+
+	want := []string{"join:s0:", "join:n0:", "leave:s0:unreachable", "leave:n0:heartbeat timeout", "join:s0:probe revival"}
+	if got := rec.log(); !equalStrings(got, want) {
+		t.Errorf("events = %v, want %v", got, want)
+	}
+}
+
+// TestStaticMemberRefusesWireFrames: no registration, heartbeat or
+// drain frame may claim or move a static member's id; the refusal
+// names the static backend, and the member is left as it was.
+func TestStaticMemberRefusesWireFrames(t *testing.T) {
+	r, _, rec := newTestRegistry(t)
+	r.AddStatic("s0", "b0")
+	for name, err := range map[string]error{
+		"register":  r.Register("s0", "elsewhere", 4),
+		"heartbeat": r.Heartbeat("s0", 4, &opusnet.CacheStatsPayload{Misses: 1}),
+		"drain":     r.Drain("s0", "sigterm"),
+	} {
+		if err == nil || !strings.Contains(err.Error(), "static backend b0") {
+			t.Errorf("%s of s0 = %v, want a refusal naming static backend b0", name, err)
+		}
+		if errors.Is(err, ErrUnknownMember) {
+			t.Errorf("%s of s0 reported unknown member; a drain would ack it", name)
+		}
+	}
+	m := memberByID(t, r, "s0")
+	if m.State != StateHealthy || !m.Static || m.Addr != "b0" || m.Capacity != 1 || m.HasStats {
+		t.Errorf("s0 = %+v after refused frames, want untouched", m)
+	}
+	if r.Draining("s0") {
+		t.Error("refused drain left s0 draining")
+	}
+	if got := rec.log(); !equalStrings(got, []string{"join:s0:"}) {
+		t.Errorf("events = %v, want only the startup join", got)
 	}
 }

@@ -698,8 +698,10 @@ func TestDeadStaticCostsNoDialsPerRequest(t *testing.T) {
 }
 
 // TestReprobeLoopRevivesDeadStatic: the background reprobe loop — not
-// any request — brings a recovered static backend back: its join event
-// fires with no request in flight, and the next grid shards onto it.
+// any request — brings a recovered static backend back: its revival
+// join fires after its leave, with no request in flight, and the next
+// grid shards onto it. The startup join every static member emits
+// precedes the leave, so it cannot satisfy the wait.
 func TestReprobeLoopRevivesDeadStatic(t *testing.T) {
 	fn := faultnet.New()
 	t.Cleanup(fn.Close)
@@ -751,8 +753,15 @@ func TestReprobeLoopRevivesDeadStatic(t *testing.T) {
 	dmu.Lock()
 	down = false
 	dmu.Unlock()
+	left := false
 	waitEvent(t, coord.Telemetry(), func(ev telemetry.Event) bool {
-		return ev.Type == "join" && ev.Member == StaticID(1)
+		if ev.Member != StaticID(1) {
+			return false
+		}
+		if ev.Type == "leave" {
+			left = true
+		}
+		return left && ev.Type == "join" && ev.Reason == "probe revival"
 	})
 	// The revived backend owns fig8-5d cells again (guarded by the same
 	// static assignment the other e2e tests predict) and executes them.

@@ -13,12 +13,15 @@
 // streams aggregated exp_progress — the fleet's output is
 // byte-identical to a single daemon's.
 //
-// Membership is elastic: besides the static -backends list (sharded by
-// fleet position, byte-identically to earlier releases), backends may
-// register themselves over the same protocol (fleet_register), keep
-// alive with heartbeats that piggyback their serving stats, and depart
-// gracefully with a drain frame — the internal/railctl control plane.
-// Dynamic liveness is heartbeat-edge driven (no per-request dial
+// Membership is one table, the internal/railctl registry, which every
+// wave, proxy and stats query reads. Static -backends entries are
+// probe-kept members (id StaticID(i), capacity 1, so a static fleet
+// shards by fleet position, byte-identically to earlier releases): a
+// failed contact marks one dead, and a background probe revives it.
+// With AllowRegistration, backends may also register themselves over
+// the same protocol (fleet_register), keep alive with heartbeats that
+// piggyback their serving stats, and depart gracefully with a drain
+// frame. Their liveness is heartbeat-edge driven (no per-request dial
 // probes); capacity advertised at registration weights the rendezvous
 // shard, so a bigger worker pool draws proportionally more cells; and
 // a draining backend finishes its in-flight batch while its unstarted
@@ -27,7 +30,7 @@
 // Failover is part of the contract: a backend that dies, times out, or
 // errors mid-grid has its unfinished cells re-sharded across the
 // survivors (wave by wave, until done or no backend is left), and a
-// failed static backend is re-probed in the background, so a restarted
+// dead static member is re-probed in the background, so a restarted
 // daemon rejoins on its own. The coordinator serves on raild's own
 // skeleton (railserve.Core), so request-level singleflight and
 // cancellation keep raild's semantics across the fan-out: identical
@@ -74,14 +77,17 @@ type Config struct {
 	Backends []string
 	// AllowRegistration accepts fleet_register/heartbeat/drain frames:
 	// raild daemons join the fleet themselves (see internal/railctl)
-	// instead of — or alongside — the static Backends list.
+	// instead of — or alongside — the static Backends list. Frames
+	// naming a static member's id are refused either way.
 	AllowRegistration bool
 	// HeartbeatTTL marks a registered backend dead when its newest
 	// heartbeat is older than this; 0 means railctl.DefaultHeartbeatTTL.
 	HeartbeatTTL time.Duration
-	// ReprobeInterval is the background cadence at which dead static
-	// backends are re-dialed (the request path skips them); 0 means
-	// DefaultReprobeInterval, negative disables the loop.
+	// ReprobeInterval is the cadence of the background probe that
+	// re-dials the static members marked dead (the request path skips
+	// them) and revives the ones that answer; 0 means
+	// DefaultReprobeInterval, negative disables the loop. An empty-fleet
+	// rescue probe runs regardless.
 	ReprobeInterval time.Duration
 	// Now replaces the membership clock for tests; nil means time.Now.
 	Now func() time.Time
@@ -118,27 +124,27 @@ type Coordinator struct {
 	// core is raild's serving skeleton: accept loop, run table, request
 	// observer, base context.
 	core         *railserve.Core
-	static       []*backend
 	inFlight     int
 	batchTimeout time.Duration
 	logf         func(format string, args ...any)
 	dial         func(addr string) (net.Conn, error)
 	now          func() time.Time
 
-	// registry is the dynamic-membership control plane (nil unless
-	// Config.AllowRegistration): self-registered backends, heartbeat
-	// liveness, graceful drain. Data-plane connections for its members
-	// live in dynamic, keyed by member id, guarded by mu.
-	registry *railctl.Registry
+	// registry is the one membership table: static members added at New
+	// and, when allowRegistration admits the wire frames, registered
+	// ones. Data-plane records for its members live in backends, keyed
+	// by member id, guarded by mu.
+	registry          *railctl.Registry
+	allowRegistration bool
 
 	// failoversC and membersG join the core's request instruments and
 	// the sampled stats_resp mirror in the coordinator's telemetry set.
 	failoversC *telemetry.Counter
 	membersG   *telemetry.GaugeVec
 
-	mu      sync.Mutex
-	dynamic map[string]*backend // registered member id -> data-plane record
-	closed  bool                // backend records closed: no more dials
+	mu       sync.Mutex
+	backends map[string]*backend // member id -> data-plane record
+	closed   bool                // backend records closed: no more dials
 	// Request-level counters, mirroring raild's: exp_req arrivals that
 	// started (or joined) a fleet execution or were proxied.
 	expsExecuted, expsDeduped atomic.Uint64
@@ -174,45 +180,44 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Coordinator{
-		core:         core,
-		inFlight:     inFlight,
-		batchTimeout: batchTimeout,
-		logf:         cfg.Logf,
-		dial:         dial,
-		now:          now,
-		dynamic:      make(map[string]*backend),
-	}
-	for i, addr := range cfg.Backends {
-		f.static = append(f.static, &backend{index: i, id: StaticID(i), static: true, addr: addr, dial: dial})
-	}
 	tel := core.Telemetry()
-	f.failoversC = tel.Metrics.Counter("railfleet_failovers_total",
-		"Backend failures mid-request whose work was re-sharded to (or retried on) the surviving backends.")
-	f.membersG = tel.Metrics.GaugeVec("railfleet_members",
-		"Fleet members by membership state; static -backends entries count as healthy until a probe or batch failure marks them dead.",
-		"state")
-	tel.Metrics.OnScrape(f.sampleMembership)
-	if cfg.AllowRegistration {
-		f.registry = railctl.NewRegistry(railctl.Config{
+	f := &Coordinator{
+		core:              core,
+		inFlight:          inFlight,
+		batchTimeout:      batchTimeout,
+		logf:              cfg.Logf,
+		dial:              dial,
+		now:               now,
+		allowRegistration: cfg.AllowRegistration,
+		backends:          make(map[string]*backend),
+		registry: railctl.NewRegistry(railctl.Config{
 			TTL: cfg.HeartbeatTTL,
 			Now: now,
 			OnEvent: func(ev railctl.Event) {
-				if f.logf != nil {
-					f.logf("railfleet: member %s (%s): %s %s", ev.ID, ev.Addr, ev.Type, ev.Reason)
+				if cfg.Logf != nil {
+					cfg.Logf("railfleet: member %s (%s): %s %s", ev.ID, ev.Addr, ev.Type, ev.Reason)
 				}
 				tel.Events.Emit(telemetry.Event{Type: ev.Type, Member: ev.ID,
 					Backend: ev.Addr, Capacity: ev.Capacity, Reason: ev.Reason})
 			},
-		})
+		}),
 	}
+	for i, addr := range cfg.Backends {
+		f.registry.AddStatic(StaticID(i), addr)
+	}
+	f.failoversC = tel.Metrics.Counter("railfleet_failovers_total",
+		"Backend failures mid-request whose work was re-sharded to (or retried on) the surviving backends.")
+	f.membersG = tel.Metrics.GaugeVec("railfleet_members",
+		"Fleet members by membership state, static and registered alike.",
+		"state")
+	tel.Metrics.OnScrape(f.sampleMembership)
 	opusnet.RegisterStatsMetrics(tel.Metrics, "railfleet", f.Stats)
 	var loops []func(ctx context.Context)
 	reprobe := cfg.ReprobeInterval
 	if reprobe == 0 {
 		reprobe = DefaultReprobeInterval
 	}
-	if reprobe > 0 && len(f.static) > 0 {
+	if reprobe > 0 && len(cfg.Backends) > 0 {
 		loops = append(loops, func(ctx context.Context) { f.reprobeLoop(ctx, reprobe) })
 	}
 	core.Start(f.dispatch, loops...)
@@ -227,17 +232,8 @@ func (f *Coordinator) sampleMembership() {
 		railctl.StateHealthy: 0, railctl.StateDraining: 0,
 		railctl.StateDrained: 0, railctl.StateDead: 0,
 	}
-	for _, b := range f.static {
-		if b.isDead() {
-			counts[railctl.StateDead]++
-		} else {
-			counts[railctl.StateHealthy]++
-		}
-	}
-	if f.registry != nil {
-		for _, m := range f.registry.Members() {
-			counts[m.State]++
-		}
+	for _, m := range f.registry.Members() {
+		counts[m.State]++
 	}
 	for state, n := range counts { //lint:allow maporder gauge series are independent; set order is immaterial
 		f.membersG.With(string(state)).Set(n)
@@ -258,17 +254,14 @@ func (f *Coordinator) Addr() string { return f.core.Addr() }
 // waited for (Drain exists for tests).
 func (f *Coordinator) Close() error {
 	err := f.core.Close()
-	for _, b := range f.static {
-		b.close()
-	}
 	f.mu.Lock()
 	f.closed = true
-	dyn := make([]*backend, 0, len(f.dynamic))
-	for _, b := range f.dynamic { //lint:allow maporder collecting for close; order is immaterial
-		dyn = append(dyn, b)
+	all := make([]*backend, 0, len(f.backends))
+	for _, b := range f.backends { //lint:allow maporder collecting for close; order is immaterial
+		all = append(all, b)
 	}
 	f.mu.Unlock()
-	for _, b := range dyn {
+	for _, b := range all {
 		b.close()
 	}
 	return err
@@ -283,80 +276,76 @@ func (f *Coordinator) Drain() { f.core.Drain() }
 const statsTimeout = 5 * time.Second
 
 // Stats reports the coordinator's serving telemetry: its request-level
-// counters, the per-backend membership view, and the cache counters
-// aggregated across the fleet. Live static backends are queried
-// concurrently under a bounded context and their answers retained; a
-// backend that does not answer is reported unhealthy and contributes
-// its last-known-good counters instead of silently vanishing, so fleet
-// aggregates never go backwards when a backend dies. Dynamic members
-// are never queried here: their newest heartbeat already carried their
-// snapshot, and the registry retains it (members are never deleted, so
-// a dead member's counters keep contributing). (A backend that
-// restarts legitimately resets its own counters; monotonicity is
-// guaranteed across unreachability, not across backend restarts.)
+// counters, the per-member membership view, and the cache counters
+// aggregated across the fleet, all read from the registry. Static
+// members with an open connection are queried first, concurrently
+// under a bounded context: an answer is retained in the registry, a
+// failure marks the member dead. Registered members are never dialed:
+// their newest heartbeat already carried their snapshot. Members are
+// never deleted, so a dead member keeps contributing its
+// last-known-good counters and fleet aggregates never go backwards when
+// a backend dies. (A backend that restarts legitimately resets its own
+// counters; monotonicity is guaranteed across unreachability, not
+// across backend restarts.)
 //
 // After Close, Stats returns promptly without querying anything —
-// local counters plus the retained per-backend contributions, every
-// backend reported unhealthy — rather than racing the cancelled base
+// local counters plus the retained per-member contributions, every
+// member reported unhealthy — rather than racing the cancelled base
 // context.
 func (f *Coordinator) Stats() opusnet.CacheStatsPayload {
 	closed := f.core.Closed()
+	if !closed {
+		f.queryStatics()
+	}
 	out := opusnet.CacheStatsPayload{
 		ExpsExecuted: f.expsExecuted.Load(),
 		ExpsDeduped:  f.expsDeduped.Load(),
 	}
-	snaps := make([]opusnet.BackendStatsPayload, len(f.static))
-	if closed {
-		for i, b := range f.static {
-			snap, _ := b.snapshot()
-			snap.Healthy = false
-			snaps[i] = snap
+	nowT := f.now()
+	for _, m := range f.registry.Members() {
+		snap := opusnet.BackendStatsPayload{
+			Addr: m.Addr, ID: m.ID, Capacity: m.Capacity, State: string(m.State), Static: m.Static,
+			Healthy: !closed && m.State == railctl.StateHealthy,
 		}
-	} else {
-		ctx, cancel := context.WithTimeout(f.core.BaseCtx(), statsTimeout)
-		defer cancel()
-		var wg sync.WaitGroup
-		for i, b := range f.static {
-			i, b := i, b
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				snap, c := b.snapshot()
-				if c != nil {
-					if bst, err := c.StatsCtx(ctx); err == nil {
-						b.retainStats(bst)
-					} else {
-						b.setUnhealthy()
-						snap.Healthy = false
-					}
-				}
-				snaps[i] = snap
-			}()
+		if !m.LastHeartbeat.IsZero() {
+			snap.LastHeartbeatAgeMS = nowT.Sub(m.LastHeartbeat).Milliseconds()
 		}
-		wg.Wait()
+		snap.Cells, snap.Failures = f.backendFor(m.ID, m.Addr).counts()
+		addStats(&out, m.Stats, snap.Healthy)
+		out.Backends = append(out.Backends, snap)
 	}
-	// Aggregate over the retained snapshots of ALL backends — reachable
-	// or not — so no contribution is ever dropped from the sums.
-	for i, b := range f.static {
-		addStats(&out, b.retainedStats(), snaps[i].Healthy)
-	}
-	if f.registry != nil {
-		nowT := f.now()
-		for _, m := range f.registry.Members() {
-			snap := opusnet.BackendStatsPayload{
-				Addr: m.Addr, ID: m.ID, Capacity: m.Capacity, State: string(m.State),
-				Healthy:            !closed && m.State == railctl.StateHealthy,
-				LastHeartbeatAgeMS: nowT.Sub(m.LastHeartbeat).Milliseconds(),
-			}
-			if b := f.lookupDynamic(m.ID); b != nil {
-				snap.Cells, snap.Failures = b.counts()
-			}
-			addStats(&out, m.Stats, snap.Healthy)
-			snaps = append(snaps, snap)
-		}
-	}
-	out.Backends = snaps
 	return out
+}
+
+// queryStatics asks every static member that has an open connection
+// for its serving stats, concurrently under statsTimeout, so a wedged
+// backend degrades the aggregate instead of hanging it.
+func (f *Coordinator) queryStatics() {
+	ctx, cancel := context.WithTimeout(f.core.BaseCtx(), statsTimeout)
+	defer cancel()
+	var wg sync.WaitGroup
+	for _, m := range f.registry.Members() {
+		if !m.Static {
+			continue // heartbeats carry a registered member's stats
+		}
+		b := f.backendFor(m.ID, m.Addr)
+		c := b.conn()
+		if c == nil {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st, err := c.StatsCtx(ctx)
+			if err != nil {
+				b.drop(c)
+				f.registry.MarkDead(b.id, "stats query failed")
+				return
+			}
+			f.registry.MarkAlive(b.id, &st)
+		}()
+	}
+	wg.Wait()
 }
 
 // addStats folds one backend's retained cache counters into the fleet
@@ -386,12 +375,8 @@ func (f *Coordinator) dispatch(msg *opusnet.Message, reply func(*opusnet.Message
 	switch msg.Type {
 	case opusnet.MsgExpReq:
 		f.serveExp(msg, reply, cs)
-	case opusnet.MsgFleetRegister:
-		f.serveFleetRegister(msg, reply)
-	case opusnet.MsgHeartbeat:
-		f.serveHeartbeat(msg, reply)
-	case opusnet.MsgDrain:
-		f.serveDrain(msg, reply)
+	case opusnet.MsgFleetRegister, opusnet.MsgHeartbeat, opusnet.MsgDrain:
+		f.serveControl(msg, reply)
 	case opusnet.MsgStatsReq:
 		seq := msg.Seq
 		f.core.Go(func() { // Stats queries backends; never block the read loop
@@ -404,75 +389,36 @@ func (f *Coordinator) dispatch(msg *opusnet.Message, reply func(*opusnet.Message
 	return true
 }
 
-// serveFleetRegister admits (or refreshes) a dynamic member. The
+// serveControl answers the control-plane frames: fleet_register
+// admits (or refreshes) a registered member, heartbeat refreshes its
+// liveness and stats snapshot, drain marks it departing. The
 // registration connection is pure control plane: cells travel over
 // connections the coordinator dials to the member's advertised
-// address, so a member behind the same dialer as the statics needs no
-// extra plumbing.
-func (f *Coordinator) serveFleetRegister(msg *opusnet.Message, reply func(*opusnet.Message, bool)) {
-	seq := msg.Seq
-	if f.registry == nil {
-		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: seq,
-			Error: "railfleet: dynamic registration disabled (static -backends fleet)"}, true)
+// address. A heartbeat for an unknown identity is refused so the agent
+// re-registers (the coordinator may have restarted and lost the
+// table); a drain for one acks — the member is already not part of the
+// fleet, and a retried SIGTERM must not fail.
+func (f *Coordinator) serveControl(msg *opusnet.Message, reply func(*opusnet.Message, bool)) {
+	var err error
+	switch {
+	case !f.allowRegistration:
+		err = fmt.Errorf("railfleet: dynamic registration disabled (static -backends fleet)")
+	case msg.Type == opusnet.MsgFleetRegister && msg.FleetReg != nil:
+		err = f.registry.Register(msg.FleetReg.ID, msg.FleetReg.Addr, msg.FleetReg.Capacity)
+	case msg.Type == opusnet.MsgHeartbeat && msg.Heartbeat != nil:
+		err = f.registry.Heartbeat(msg.Heartbeat.ID, msg.Heartbeat.Capacity, msg.Heartbeat.Stats)
+	case msg.Type == opusnet.MsgDrain && msg.DrainReq != nil:
+		if err = f.registry.Drain(msg.DrainReq.ID, msg.DrainReq.Reason); errors.Is(err, railctl.ErrUnknownMember) {
+			err = nil
+		}
+	default:
+		err = fmt.Errorf("railfleet: %s without a payload", msg.Type)
+	}
+	if err != nil {
+		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: msg.Seq, Error: err.Error()}, true)
 		return
 	}
-	p := msg.FleetReg
-	if p == nil {
-		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: seq,
-			Error: "railfleet: fleet_register without a payload"}, true)
-		return
-	}
-	if err := f.registry.Register(p.ID, p.Addr, p.Capacity); err != nil {
-		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: seq, Error: err.Error()}, true)
-		return
-	}
-	reply(&opusnet.Message{Type: opusnet.MsgAck, Seq: seq}, true)
-}
-
-// serveHeartbeat refreshes a member's liveness (and stats snapshot).
-// An unknown identity is refused so the agent re-registers — the
-// coordinator may have restarted and lost the membership table.
-func (f *Coordinator) serveHeartbeat(msg *opusnet.Message, reply func(*opusnet.Message, bool)) {
-	seq := msg.Seq
-	if f.registry == nil {
-		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: seq,
-			Error: "railfleet: dynamic registration disabled (static -backends fleet)"}, true)
-		return
-	}
-	p := msg.Heartbeat
-	if p == nil {
-		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: seq,
-			Error: "railfleet: heartbeat without a payload"}, true)
-		return
-	}
-	if err := f.registry.Heartbeat(p.ID, p.Capacity, p.Stats); err != nil {
-		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: seq, Error: err.Error()}, true)
-		return
-	}
-	reply(&opusnet.Message{Type: opusnet.MsgAck, Seq: seq}, true)
-}
-
-// serveDrain marks a member draining. Unknown identities ack: the
-// member is already not part of the fleet, which is all a drain asks
-// for — a drain must be idempotent so a retried SIGTERM cannot fail.
-func (f *Coordinator) serveDrain(msg *opusnet.Message, reply func(*opusnet.Message, bool)) {
-	seq := msg.Seq
-	if f.registry == nil {
-		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: seq,
-			Error: "railfleet: dynamic registration disabled (static -backends fleet)"}, true)
-		return
-	}
-	p := msg.DrainReq
-	if p == nil {
-		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: seq,
-			Error: "railfleet: drain without a payload"}, true)
-		return
-	}
-	if err := f.registry.Drain(p.ID, p.Reason); err != nil && !errors.Is(err, railctl.ErrUnknownMember) {
-		reply(&opusnet.Message{Type: opusnet.MsgErr, Seq: seq, Error: err.Error()}, true)
-		return
-	}
-	reply(&opusnet.Message{Type: opusnet.MsgAck, Seq: seq}, true)
+	reply(&opusnet.Message{Type: opusnet.MsgAck, Seq: msg.Seq}, true)
 }
 
 // serveExp serves exp_req at the coordinator: grid experiments fan out
@@ -567,11 +513,10 @@ func (f *Coordinator) proxyExp(msg *opusnet.Message, reply func(*opusnet.Message
 		for _, b := range order {
 			c, err := b.get()
 			if err != nil {
-				f.noteStaticDown(b, "unreachable")
+				f.registry.MarkDead(b.id, "unreachable")
 				lastErr = err
 				continue
 			}
-			f.noteStaticUp(b)
 			run, err := c.RunExperiment(r.Ctx, req, func(done, total int) {
 				reply(&opusnet.Message{Type: opusnet.MsgExpProgress, Seq: seq,
 					Progress: &opusnet.GridProgress{Done: done, Total: total}}, false)
@@ -587,7 +532,7 @@ func (f *Coordinator) proxyExp(msg *opusnet.Message, reply func(*opusnet.Message
 						f.logf("railfleet: backend %s died serving experiment %q: %v (failing over)", b.address(), req.Name, err)
 					}
 					b.fail(c)
-					f.noteStaticDown(b, "failover")
+					f.registry.MarkDead(b.id, "failover")
 					f.failoversC.Inc()
 					f.Telemetry().Events.Emit(telemetry.Event{Type: "failover", Req: r.ID, Exp: req.Name,
 						Backend: b.address(), Member: b.id, Err: err.Error()})
@@ -612,55 +557,18 @@ func (f *Coordinator) proxyExp(msg *opusnet.Message, reply func(*opusnet.Message
 	})
 }
 
-// proxyOrder ranks the fleet's backends by weighted rendezvous score
-// for an experiment name — the same hash the cell shard uses, so
-// repeat requests land on the same warm cache. Assignable members and
-// non-dead statics rank first; dead statics are appended as a last
-// resort (the failover walk will probe them only when everything
-// better already failed).
+// proxyOrder ranks the live members by weighted rendezvous score for
+// an experiment name — the same hash the cell shard uses, so repeat
+// requests land on the same warm cache.
 func (f *Coordinator) proxyOrder(name string) []*backend {
-	type cand struct {
-		b *backend
-		t Target
-	}
-	var live, last []cand
-	for _, b := range f.static {
-		c := cand{b, Target{ID: b.id, Weight: 1}}
-		if b.isDead() {
-			last = append(last, c)
-		} else {
-			live = append(live, c)
-		}
-	}
-	if f.registry != nil {
-		for _, m := range f.registry.Assignable() {
-			live = append(live, cand{f.dynamicBackend(m.ID, m.Addr), Target{ID: m.ID, Weight: m.Capacity}})
-		}
-	}
-	rank := func(cs []cand) {
-		sort.Slice(cs, func(i, j int) bool {
-			si, sj := weightedScore(name, cs[i].t), weightedScore(name, cs[j].t)
-			if si != sj {
-				return si > sj
-			}
-			return cs[i].t.ID < cs[j].t.ID
-		})
-	}
-	rank(live)
-	rank(last)
-	out := make([]*backend, 0, len(live)+len(last))
-	for _, c := range append(live, last...) {
-		out = append(out, c.b)
+	members := f.live(nil) // sorted by ID: the tiebreak the stable sort keeps
+	score := func(m railctl.Member) float64 { return weightedScore(name, Target{ID: m.ID, Weight: m.Capacity}) }
+	sort.SliceStable(members, func(i, j int) bool { return score(members[i]) > score(members[j]) })
+	out := make([]*backend, len(members))
+	for i, m := range members {
+		out[i] = f.backendFor(m.ID, m.Addr)
 	}
 	return out
-}
-
-// draining reports whether a backend is gracefully departing: a
-// dynamic member the registry marked draining. A drainer keeps (and
-// finishes) the batch it already holds; its unsubmitted cells hand off
-// to the next wave without failover accounting.
-func (f *Coordinator) draining(b *backend) bool {
-	return !b.static && f.registry != nil && f.registry.Draining(b.id)
 }
 
 // executeGrid fans one expanded grid out across the fleet and merges
@@ -745,7 +653,7 @@ func (f *Coordinator) executeGrid(ctx context.Context, spec scenario.Spec, grid 
 			go func() {
 				defer wg.Done()
 				for start := 0; start < len(idxs); start += f.inFlight {
-					if f.draining(b) {
+					if f.registry.Draining(b.id) {
 						// Graceful departure: the unsubmitted remainder hands
 						// off to the next wave. No failover counter, no
 						// exclusion — this is the drain working as designed.
@@ -764,7 +672,7 @@ func (f *Coordinator) executeGrid(ctx context.Context, spec scenario.Spec, grid 
 						if ctx.Err() != nil {
 							return // cancelled: the wave exit reports it
 						}
-						if f.draining(b) {
+						if f.registry.Draining(b.id) {
 							// The drain raced the batch: its connection may
 							// already be gone, but the departure is still
 							// graceful — hand off, don't count a failover.
@@ -779,7 +687,7 @@ func (f *Coordinator) executeGrid(ctx context.Context, spec scenario.Spec, grid 
 							f.logf("railfleet: backend %s failed %d cells of grid %q: %v (re-sharding)",
 								b.address(), len(idxs)-start, grid.Name, err)
 						}
-						f.noteStaticDown(b, "failover")
+						f.registry.MarkDead(b.id, "failover")
 						f.failoversC.Inc()
 						f.Telemetry().Events.Emit(telemetry.Event{Type: "failover", Exp: grid.Name,
 							Backend: b.address(), Member: b.id, Cells: len(idxs) - start, Wave: wave, Err: err.Error()})

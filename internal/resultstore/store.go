@@ -247,6 +247,11 @@ func (s *Store) Get(key string) (Entry, bool) {
 // Put stores the entry under key, atomically (write-then-rename), then
 // evicts least-recently-used objects if the size bound is exceeded —
 // never the object just written.
+//
+// The temp file is written (and fsynced) outside the store mutex, so
+// concurrent Puts and Gets do not queue behind each other's disk I/O.
+// Only the rename and the index update share the lock, so the indexed
+// size is always the size of the file the last rename published.
 func (s *Store) Put(key string, ent Entry) error {
 	if !validKey(key) {
 		return fmt.Errorf("resultstore: invalid key %q (want the canonical experiment hash)", key)
@@ -255,58 +260,74 @@ func (s *Store) Put(key string, ent Entry) error {
 	if err != nil {
 		return fmt.Errorf("resultstore: encode %s: %w", key, err)
 	}
+	tmp, err := s.writeTemp(key, data)
+	if err == nil {
+		err = s.publish(key, tmp, int64(len(data)))
+	}
+	if err != nil {
+		s.mu.Lock()
+		s.stats.Errors++
+		s.mu.Unlock()
+		return err
+	}
+	s.syncDir()
+	return nil
+}
+
+// publish renames a written temp file into place and indexes it, then
+// evicts — the only part of a Put that holds the mutex.
+func (s *Store) publish(key, tmp string, size int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.writeLocked(key, data); err != nil {
-		s.stats.Errors++
-		return err
+	if err := os.Rename(tmp, s.path(key)); err != nil {
+		_ = os.Remove(tmp)
+		return fmt.Errorf("resultstore: publish %s: %w", key, err)
 	}
 	if old, ok := s.index[key]; ok {
 		s.bytes -= old.size
 	}
-	s.index[key] = &object{size: int64(len(data)), mtime: s.now()}
-	s.bytes += int64(len(data))
+	s.index[key] = &object{size: size, mtime: s.now()}
+	s.bytes += size
 	s.stats.Puts++
 	s.evictLocked(key)
 	return nil
 }
 
-// writeLocked renders data to a temp file and renames it into place.
-func (s *Store) writeLocked(key string, data []byte) error {
+// writeTemp renders data to a fresh temp file in the store directory
+// (fsynced when configured) and returns its path; on error nothing is
+// left behind.
+func (s *Store) writeTemp(key string, data []byte) (string, error) {
 	f, err := os.CreateTemp(s.dir, tmpPrefix+"*")
 	if err != nil {
-		return fmt.Errorf("resultstore: %w", err)
+		return "", fmt.Errorf("resultstore: %w", err)
 	}
 	tmp := f.Name()
-	cleanup := func() {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-	}
-	if _, err := f.Write(data); err != nil {
-		cleanup()
-		return fmt.Errorf("resultstore: write %s: %w", key, err)
-	}
-	if s.fsync {
-		if err := f.Sync(); err != nil {
-			cleanup()
-			return fmt.Errorf("resultstore: fsync %s: %w", key, err)
+	if _, err = f.Write(data); err != nil {
+		err = fmt.Errorf("resultstore: write %s: %w", key, err)
+	} else if s.fsync {
+		if err = f.Sync(); err != nil {
+			err = fmt.Errorf("resultstore: fsync %s: %w", key, err)
 		}
 	}
-	if err := f.Close(); err != nil {
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("resultstore: close %s: %w", key, cerr)
+	}
+	if err != nil {
 		_ = os.Remove(tmp)
-		return fmt.Errorf("resultstore: close %s: %w", key, err)
+		return "", err
 	}
-	if err := os.Rename(tmp, s.path(key)); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("resultstore: publish %s: %w", key, err)
+	return tmp, nil
+}
+
+// syncDir makes a published rename durable when fsync is configured.
+func (s *Store) syncDir() {
+	if !s.fsync {
+		return
 	}
-	if s.fsync {
-		if dir, err := os.Open(s.dir); err == nil {
-			_ = dir.Sync()
-			_ = dir.Close()
-		}
+	if dir, err := os.Open(s.dir); err == nil {
+		_ = dir.Sync()
+		_ = dir.Close()
 	}
-	return nil
 }
 
 // dropLocked removes one object from disk and the index.

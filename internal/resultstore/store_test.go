@@ -301,3 +301,40 @@ func TestConcurrentGetPutOneKeyWithTornFile(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 entry of %d bytes", st, info.Size())
 	}
 }
+
+// TestConcurrentPutsOneKeyAccountBytes: Puts of different payload
+// sizes racing on one key write their temp files outside the store
+// mutex, yet once they finish the resident byte count must equal the
+// size of the object on disk — the index describes the file the last
+// rename published, never a loser's. Seeded; meaningful under -race.
+func TestConcurrentPutsOneKeyAccountBytes(t *testing.T) {
+	s := openTest(t, Config{Fsync: true})
+	key := testKey(4)
+	const workers, ops = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < ops; i++ {
+				ent := Entry{Experiment: "fig8", Rendered: strings.Repeat("row\n", 1+rng.Intn(64))}
+				if err := s.Put(key, ent); err != nil {
+					t.Error(err)
+				}
+			}
+		}(int64(w + 1))
+	}
+	wg.Wait()
+	info, err := os.Stat(s.path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.Entries != 1 || st.Puts != workers*ops || st.Bytes != info.Size() {
+		t.Fatalf("stats = %+v, want 1 entry, %d puts, %d bytes (the file on disk)", st, workers*ops, info.Size())
+	}
+	if left, _ := filepath.Glob(filepath.Join(s.Dir(), tmpPrefix+"*")); len(left) != 0 {
+		t.Errorf("temp files left behind: %v", left)
+	}
+}
