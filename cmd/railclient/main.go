@@ -182,7 +182,8 @@ func printMember(w io.Writer, b opusnet.BackendStatsPayload) error {
 func runExperiment(ctx context.Context, name string, dims *gridcli.Dimensions, addr, format string,
 	timeout time.Duration, onProgress func(done, total int),
 	printStats func(*railserve.Client, io.Writer) error, stats bool, stdout, stderr io.Writer) error {
-	req := opusnet.ExpRequestPayload{Name: name, TimeoutMS: timeout.Milliseconds()}
+	// The daemon renders only the format printed below.
+	req := opusnet.ExpRequestPayload{Name: name, TimeoutMS: timeout.Milliseconds(), Format: format}
 	if photonrail.IsGridExperiment(name) {
 		// Grid experiments reuse railgrid's dimension flags; a built-in
 		// grid name seeds the axes the flags overlay, so

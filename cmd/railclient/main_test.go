@@ -175,10 +175,11 @@ func TestDaemonStatsFleetMembership(t *testing.T) {
 }
 
 // TestGridSweepSendsTimeoutToServer: a sweep without -exp goes out as
-// exp_req "grid" carrying the dimension flags' grid and the -timeout
+// exp_req "grid" carrying the dimension flags' grid, the -timeout
 // deadline, so the server bounds the sweep (and a cancel frame can
-// stop it) instead of simulating it to completion. A stub server on
-// opusnet.ServeConn records the request frame.
+// stop it) instead of simulating it to completion, and the -format
+// the server renders. A stub server on opusnet.ServeConn records the
+// request frame.
 func TestGridSweepSendsTimeoutToServer(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -220,6 +221,9 @@ func TestGridSweepSendsTimeoutToServer(t *testing.T) {
 	}
 	if msg.Exp.TimeoutMS != 1500 {
 		t.Errorf("TimeoutMS = %d, want 1500 (the -timeout value)", msg.Exp.TimeoutMS)
+	}
+	if msg.Exp.Format != opusnet.FormatTable {
+		t.Errorf("Format = %q, want %q (the -format default): the server renders only what railclient prints", msg.Exp.Format, opusnet.FormatTable)
 	}
 	fs := flag.NewFlagSet("dims", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)

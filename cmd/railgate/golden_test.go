@@ -71,18 +71,56 @@ func startGateway(t *testing.T, extra ...string) string {
 
 // TestGoldenGateway pins the HTTP front door byte for byte: the fig8-5d
 // grid requested over plain HTTP/JSON must render exactly the committed
-// corpus — and exactly the bytes cmd/railfleet's fleet corpus pins, so
-// gateway, fleet, daemon, and local CLI all print the same result. CI
-// runs this test in its loopback golden step. Regenerate this package's
-// copy intentionally with `go test ./cmd/railgate -run Golden -update`
-// (the railfleet corpus is never written from here).
+// corpus — and exactly the bytes cmd/railfleet's fleet corpus pins, in
+// all three formats, so gateway, fleet, daemon, and local CLI all print
+// the same result. It runs against a gateway without a store (each
+// synchronous request asks its backend for one rendering) and one with
+// a store (the first request stores all three; the others are store
+// hits). CI runs this test in its loopback golden step. Regenerate this
+// package's copy intentionally with `go test ./cmd/railgate -run Golden
+// -update` (the railfleet corpus is never written from here).
 func TestGoldenGateway(t *testing.T) {
-	base := startGateway(t)
+	for _, mode := range []struct {
+		name  string
+		flags func(t *testing.T) []string
+	}{
+		{"no-store", func(*testing.T) []string { return nil }},
+		{"store", func(t *testing.T) []string { return []string{"-store", t.TempDir()} }},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			base := startGateway(t, mode.flags(t)...)
+			for _, f := range []struct{ format, accept string }{
+				{"json", "application/json"},
+				{"table", "text/plain"},
+				{"csv", "text/csv"},
+			} {
+				body := fetchGolden(t, base, f.accept)
+				if f.format == "json" {
+					goldentest.Check(t, body, filepath.Join("testdata", "golden", "fig8-5d.json"))
+				}
+				// The same bytes the fleet corpus commits: the front door
+				// adds no rendering of its own.
+				want, err := os.ReadFile(filepath.Join("..", "railfleet", "testdata", "golden", "fig8-5d."+f.format))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(body, want) {
+					t.Errorf("gateway %s diverged from cmd/railfleet's fig8-5d golden corpus", f.format)
+				}
+			}
+		})
+	}
+}
+
+// fetchGolden POSTs the default fig8-5d grid with the given Accept and
+// returns the 200 body.
+func fetchGolden(t *testing.T, base, accept string) []byte {
+	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, base+"/v1/experiments/fig8-5d", strings.NewReader(""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Accept", "application/json")
+	req.Header.Set("Accept", accept)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -93,17 +131,7 @@ func TestGoldenGateway(t *testing.T) {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
+		t.Fatalf("%s: status = %d, body %s", accept, resp.StatusCode, body)
 	}
-	goldentest.Check(t, body, filepath.Join("testdata", "golden", "fig8-5d.json"))
-
-	// The same bytes the fleet corpus commits: the front door adds no
-	// rendering of its own.
-	want, err := os.ReadFile(filepath.Join("..", "railfleet", "testdata", "golden", "fig8-5d.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(body, want) {
-		t.Error("gateway JSON diverged from cmd/railfleet's fig8-5d golden corpus")
-	}
+	return body
 }

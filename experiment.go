@@ -90,8 +90,11 @@ type Section struct {
 	// Table, when non-nil, renders as an aligned table (or CSV in CSV
 	// mode) followed by nothing — spacing lives in Text sections.
 	Table *report.Table
-	// Text is written verbatim when Table is nil.
+	// Text is written verbatim when the section has no table.
 	Text string
+	// build, when non-nil, makes the section's table at render time, so
+	// a result builds only the tables of the format it renders.
+	build func() *report.Table
 }
 
 // ExperimentResult is one completed experiment run: the ordered
@@ -135,12 +138,16 @@ func (r *ExperimentResult) RenderJSON(w io.Writer) error {
 
 func renderSections(w io.Writer, sections []Section, csv bool) error {
 	for _, s := range sections {
-		if s.Table != nil {
+		t := s.Table
+		if s.build != nil {
+			t = s.build()
+		}
+		if t != nil {
 			var err error
 			if csv {
-				err = s.Table.CSV(w)
+				err = t.CSV(w)
 			} else {
-				err = s.Table.Render(w)
+				err = t.Render(w)
 			}
 			if err != nil {
 				return err
@@ -590,7 +597,9 @@ func runGrid(ctx context.Context, en *Engine, g Grid, onCell func(done, total in
 // fully numeric CSV table, and the {"grid","cells"} JSON document.
 // Rows are all a renderer needs, so a fleet coordinator that merged
 // rows from several daemons renders them byte-identically to a
-// single-daemon (or local) run.
+// single-daemon (or local) run. The two tables are built when rendered,
+// each by the format that prints it, so rendering one format builds at
+// most one table.
 func GridExperimentResult(name string, rows []scenario.Row) *ExperimentResult {
 	skipped := 0
 	for _, row := range rows {
@@ -601,10 +610,10 @@ func GridExperimentResult(name string, rows []scenario.Row) *ExperimentResult {
 	return &ExperimentResult{
 		Grid: name,
 		Sections: []Section{
-			{Table: scenario.TableFromRows(name, rows)},
+			{build: func() *report.Table { return scenario.TableFromRows(name, rows) }},
 			{Text: fmt.Sprintf("\n%d cells: %d ok, %d skipped\n", len(rows), len(rows)-skipped, skipped)},
 		},
-		CSVSections: []Section{{Table: scenario.CSVTableFromRows(rows)}},
+		CSVSections: []Section{{build: func() *report.Table { return scenario.CSVTableFromRows(rows) }}},
 		Rows:        GridRows{Grid: name, Cells: rows},
 	}
 }

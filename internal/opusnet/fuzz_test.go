@@ -58,6 +58,8 @@ func FuzzMessageRoundTrip(f *testing.F) {
 			Name: "fig8", TimeoutMS: 5000, Iterations: 2, LatenciesMS: []float64{0, 10, 100}, Rail: 1}},
 		{Type: MsgExpReq, Seq: 14, Exp: &ExpRequestPayload{
 			Name: "grid", Grid: &scenario.Spec{Name: "custom", Models: []string{"Llama3-8B"}, LatenciesMS: []float64{5}}}},
+		{Type: MsgExpReq, Seq: 20, Exp: &ExpRequestPayload{Name: "fig8", Format: FormatCSV, LatenciesMS: []float64{0, 50}}},
+		{Type: MsgExpResult, Seq: 20, ExpResult: &ExpResultPayload{Name: "fig8", RenderedCSV: "latency_ms,slowdown\n0,1\n"}},
 		{Type: MsgExpProgress, Seq: 13, Progress: &GridProgress{Done: 2, Total: 3}},
 		{Type: MsgExpResult, Seq: 13, ExpResult: &ExpResultPayload{
 			Name: "fig8", Grid: "", Rendered: "Fig. 8\ncol  col\n", RenderedCSV: "a,b\n1,2\n",
@@ -139,7 +141,7 @@ func FuzzMessageRoundTrip(f *testing.F) {
 func TestGridMessagesRoundTrip(t *testing.T) {
 	spec := scenario.SpecOf(scenario.Fig8Grid5D())
 	msgs := []*Message{
-		{Type: MsgExpReq, Seq: 21, Exp: &ExpRequestPayload{Name: "grid", Grid: &spec}},
+		{Type: MsgExpReq, Seq: 21, Exp: &ExpRequestPayload{Name: "grid", Grid: &spec, Format: FormatJSON}},
 		{Type: MsgExpProgress, Seq: 21, Progress: &GridProgress{Done: 3, Total: 48}},
 		{Type: MsgExpResult, Seq: 21, ExpResult: &ExpResultPayload{Name: "grid", Grid: "fig8-5d", Shared: true,
 			RowsJSON: "{\n  \"grid\": \"fig8-5d\",\n  \"cells\": [\n    {\n      \"cell\": \"c\"\n    }\n  ]\n}\n"}},

@@ -2,7 +2,11 @@ package opusnet
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -25,6 +29,67 @@ func TestMessageRoundTrip(t *testing.T) {
 	if out.Type != in.Type || out.Seq != in.Seq || out.Rank != in.Rank ||
 		out.Group != in.Group || len(out.Ranks) != 2 {
 		t.Errorf("round trip: %+v", out)
+	}
+}
+
+// countingWriter records each Write call's bytes separately.
+type countingWriter struct{ writes [][]byte }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// TestWriteMessageSingleWrite pins one Write per frame — header and
+// body together, so a frame costs one syscall on a socket — and that
+// the frame is exactly the 4-byte length plus the JSON body.
+func TestWriteMessageSingleWrite(t *testing.T) {
+	msgs := []*Message{
+		{Type: MsgAck, Seq: 1},
+		{Type: MsgExpReq, Seq: 2, Exp: &ExpRequestPayload{Name: "fig8", Format: FormatCSV, LatenciesMS: []float64{0, 10}}},
+		{Type: MsgExpResult, Seq: 2, ExpResult: &ExpResultPayload{Name: "fig8", RenderedCSV: strings.Repeat("a,b\n", 4096)}},
+	}
+	for _, m := range msgs {
+		var w countingWriter
+		if err := WriteMessage(&w, m); err != nil {
+			t.Fatal(err)
+		}
+		if len(w.writes) != 1 {
+			t.Fatalf("%s: %d Write calls, want 1", m.Type, len(w.writes))
+		}
+		body, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := w.writes[0]
+		if len(frame) != 4+len(body) || binary.BigEndian.Uint32(frame) != uint32(len(body)) || !bytes.Equal(frame[4:], body) {
+			t.Fatalf("%s: frame is not the length-prefixed JSON body", m.Type)
+		}
+		got, err := ReadMessage(bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, m) {
+			t.Fatalf("%s: round trip diverged: %+v", m.Type, got)
+		}
+	}
+}
+
+// TestCheckFormat pins the exp_req rendering names: empty (all three)
+// and the three client formats pass; anything else is refused.
+func TestCheckFormat(t *testing.T) {
+	for _, f := range []string{"", FormatTable, FormatCSV, FormatJSON} {
+		if err := CheckFormat(f); err != nil {
+			t.Errorf("CheckFormat(%q) = %v", f, err)
+		}
+	}
+	for _, f := range []string{"text", "yaml", "JSON", strings.Repeat("x", 1<<20)} {
+		err := CheckFormat(f)
+		if err == nil {
+			t.Errorf("CheckFormat(%.8q) accepted", f)
+		} else if len(err.Error()) > 256 {
+			t.Errorf("CheckFormat refusal is %d bytes; it must not echo the whole value", len(err.Error()))
+		}
 	}
 }
 

@@ -23,10 +23,12 @@
 package opusnet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 
 	"photonrail/internal/scenario"
 )
@@ -244,6 +246,12 @@ type ExpRequestPayload struct {
 	// abandons this request's wait (with MsgErr) once it elapses.
 	TimeoutMS int64 `json:"timeoutMS,omitempty"`
 
+	// Format names the one rendering the reply carries: FormatTable,
+	// FormatCSV or FormatJSON. Empty asks for all three. It is not a
+	// parameter of the experiment: requests that differ only in Format
+	// share one execution, and each gets its own rendering.
+	Format string `json:"format,omitempty"`
+
 	Iterations       int            `json:"iterations,omitempty"`
 	WindowIterations int            `json:"windowIterations,omitempty"`
 	LatenciesMS      []float64      `json:"latenciesMS,omitempty"`
@@ -252,10 +260,31 @@ type ExpRequestPayload struct {
 	Grid             *scenario.Spec `json:"grid,omitempty"`
 }
 
+// The renderings an exp_req may name in ExpRequestPayload.Format, one
+// per client output format.
+const (
+	FormatTable = "table"
+	FormatCSV   = "csv"
+	FormatJSON  = "json"
+)
+
+// CheckFormat validates an exp_req's Format: empty or one of
+// FormatTable, FormatCSV, FormatJSON.
+func CheckFormat(format string) error {
+	switch format {
+	case "", FormatTable, FormatCSV, FormatJSON:
+		return nil
+	}
+	// %.32q bounds the echo: the refusal frame must stay encodable.
+	return fmt.Errorf("opusnet: unknown rendering format %.32q (want %s, %s, %s, or empty for all three)",
+		format, FormatTable, FormatCSV, FormatJSON)
+}
+
 // ExpResultPayload is a completed experiment in wire form. The daemon
-// renders once and ships the exact bytes each output format prints, so
-// a remote invocation is byte-identical to its local twin without the
-// client re-implementing any renderer.
+// renders server-side and ships the exact bytes each requested output
+// format prints, so a remote invocation is byte-identical to its local
+// twin without the client re-implementing any renderer. A request that
+// named a Format gets only that rendering; the other two are empty.
 type ExpResultPayload struct {
 	// Name is the experiment that ran.
 	Name string `json:"name"`
@@ -338,26 +367,48 @@ type StatsPayload struct {
 // rejecting garbage lengths.
 const maxFrame = 8 << 20
 
+// framePool recycles frame encoding buffers; framePooledMax keeps one
+// outsized grid reply from pinning its buffer in the pool.
+var framePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const framePooledMax = 1 << 20
+
+func getFrameBuf() *bytes.Buffer {
+	buf := framePool.Get().(*bytes.Buffer)
+	buf.Reset()
+	return buf
+}
+
+func putFrameBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= framePooledMax {
+		framePool.Put(buf)
+	}
+}
+
 // WriteMessage frames and writes one message: a 4-byte big-endian length
-// followed by the JSON body.
+// followed by the JSON body, in a single Write. The body is encoded
+// straight behind a reserved header in a pooled buffer, so a frame
+// costs one syscall on a socket and no copy of the body.
 func WriteMessage(w io.Writer, m *Message) error {
-	body, err := json.Marshal(m)
-	if err != nil {
+	buf := getFrameBuf()
+	defer putFrameBuf(buf)
+	buf.Write([]byte{0, 0, 0, 0})
+	if err := json.NewEncoder(buf).Encode(m); err != nil {
 		return fmt.Errorf("opusnet: marshal: %w", err)
 	}
-	if len(body) > maxFrame {
-		return fmt.Errorf("opusnet: frame of %d bytes exceeds limit", len(body))
+	buf.Truncate(buf.Len() - 1) // Encode's trailing newline is not part of the body
+	frame := buf.Bytes()
+	n := len(frame) - 4
+	if n > maxFrame {
+		return fmt.Errorf("opusnet: frame of %d bytes exceeds limit", n)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	_, err := w.Write(frame)
 	return err
 }
 
-// ReadMessage reads one framed message.
+// ReadMessage reads one framed message. The body is read into a pooled
+// buffer: decoding copies every string out of it.
 func ReadMessage(r io.Reader) (*Message, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -367,7 +418,10 @@ func ReadMessage(r io.Reader) (*Message, error) {
 	if n == 0 || n > maxFrame {
 		return nil, fmt.Errorf("opusnet: invalid frame length %d", n)
 	}
-	body := make([]byte, n)
+	buf := getFrameBuf()
+	defer putFrameBuf(buf)
+	buf.Grow(int(n))
+	body := buf.Bytes()[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package railctl
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -50,8 +51,11 @@ type AgentConfig struct {
 // Agent keeps one backend registered with a coordinator: it dials,
 // registers, heartbeats every Interval, and re-dials + re-registers
 // (with the heartbeat interval as backoff) when the connection drops —
-// so the fleet may come up, restart, and heal in any order. Drain ends
-// the membership gracefully; Close just stops the agent.
+// so the fleet may come up, restart, and heal in any order. A
+// registration the coordinator refuses (a static member's id, or a
+// coordinator that takes no registrations) is final: the agent logs
+// the refusal and stops, and the daemon serves outside the fleet.
+// Drain ends the membership gracefully; Close just stops the agent.
 type Agent struct {
 	cfg    AgentConfig
 	ctx    context.Context
@@ -61,7 +65,13 @@ type Agent struct {
 	mu       sync.Mutex
 	client   *railserve.Client
 	draining bool
+	refused  bool // the coordinator refused the registration
 }
+
+// errRefused marks a registration the coordinator answered with a
+// refusal — as opposed to a dial or connection failure, which is
+// retried.
+var errRefused = errors.New("registration refused")
 
 // StartAgent validates the config and starts the registration loop.
 // The first registration happens asynchronously (the coordinator may
@@ -122,6 +132,13 @@ func (a *Agent) loop() {
 			return
 		}
 		c, err := a.connect()
+		if errors.Is(err, errRefused) {
+			a.cfg.Logf("railctl: agent %s: coordinator %s: %v (not retrying; serving outside the fleet)", a.cfg.ID, a.cfg.Coordinator, err)
+			a.mu.Lock()
+			a.refused = true
+			a.mu.Unlock()
+			return
+		}
 		if err != nil {
 			a.cfg.Logf("railctl: agent %s: coordinator %s unreachable: %v (retrying in %v)", a.cfg.ID, a.cfg.Coordinator, err, backoff)
 			a.sleep(backoff)
@@ -145,7 +162,8 @@ func (a *Agent) loop() {
 	}
 }
 
-// connect dials the coordinator and registers.
+// connect dials the coordinator and registers. A reply refusing the
+// registration wraps errRefused; dial and connection failures do not.
 func (a *Agent) connect() (*railserve.Client, error) {
 	conn, err := a.cfg.Dial(a.cfg.Coordinator)
 	if err != nil {
@@ -157,6 +175,9 @@ func (a *Agent) connect() (*railserve.Client, error) {
 	})
 	if err != nil {
 		_ = c.Close()
+		if !errors.Is(err, railserve.ErrConnDown) && a.ctx.Err() == nil {
+			err = fmt.Errorf("%w: %v", errRefused, err)
+		}
 		return nil, err
 	}
 	a.cfg.Logf("railctl: agent %s: registered with %s (capacity %d)", a.cfg.ID, a.cfg.Coordinator, a.cfg.Capacity)
@@ -207,12 +228,16 @@ func (a *Agent) sleep(d time.Duration) {
 // coordinator's acknowledgement — after which the coordinator assigns
 // this backend no new work and its silence counts as a completed
 // departure, not a death. The agent stops re-registering; the caller
-// then waits out its in-flight work and calls Close.
+// then waits out its in-flight work and calls Close. After a refused
+// registration Drain has nothing to announce and returns nil.
 func (a *Agent) Drain(ctx context.Context, reason string) error {
 	a.mu.Lock()
 	a.draining = true
-	c := a.client
+	c, refused := a.client, a.refused
 	a.mu.Unlock()
+	if refused {
+		return nil // never a member: there is no membership to end
+	}
 	if c != nil {
 		if err := c.FleetDrain(ctx, opusnet.DrainPayload{ID: a.cfg.ID, Reason: reason}); err == nil {
 			return nil

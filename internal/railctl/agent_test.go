@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,6 +20,10 @@ import (
 type fakeCoord struct {
 	ln   net.Listener
 	seen chan *opusnet.Message
+	// onRegister scripts the reply to fleet_register: regAck (default),
+	// regRefuse (MsgErr, as a coordinator refusing the id), or regHangUp
+	// (close the connection without a reply).
+	onRegister atomic.Int32
 
 	mu    sync.Mutex
 	conns []net.Conn
@@ -65,11 +70,28 @@ func (fc *fakeCoord) serve(conn net.Conn) {
 		case fc.seen <- msg:
 		default:
 		}
-		if err := opusnet.WriteMessage(conn, &opusnet.Message{Type: opusnet.MsgAck, Seq: msg.Seq}); err != nil {
+		reply := &opusnet.Message{Type: opusnet.MsgAck, Seq: msg.Seq}
+		if msg.Type == opusnet.MsgFleetRegister {
+			switch fc.onRegister.Load() {
+			case regRefuse:
+				reply = &opusnet.Message{Type: opusnet.MsgErr, Seq: msg.Seq, Error: `member id "s0" is held by static backend b0`}
+			case regHangUp:
+				_ = conn.Close()
+				return
+			}
+		}
+		if err := opusnet.WriteMessage(conn, reply); err != nil {
 			return
 		}
 	}
 }
+
+// fakeCoord.onRegister scripts.
+const (
+	regAck int32 = iota
+	regRefuse
+	regHangUp
+)
 
 // dropConns severs every live connection, forcing the agent to redial.
 func (fc *fakeCoord) dropConns() {
@@ -194,6 +216,14 @@ func TestAgentDrainWithoutConnection(t *testing.T) {
 	}
 }
 
+// stopSteppedAgent stops an agent whose sleepFn parks on the test:
+// closing testDone first releases a sleep the test no longer steps,
+// so Close can join the loop.
+func stopSteppedAgent(a *Agent, testDone chan struct{}) {
+	close(testDone)
+	a.Close()
+}
+
 // TestAgentRedialBackoffResets pins the redial backoff contract with a
 // stepped (never actually sleeping) clock: consecutive failed redials
 // double the wait from Interval up to MaxBackoff, and a successful
@@ -206,7 +236,6 @@ func TestAgentRedialBackoffResets(t *testing.T) {
 	failDial.Store(true)
 
 	testDone := make(chan struct{})
-	t.Cleanup(func() { close(testDone) })
 	sleeps := make(chan time.Duration)
 	proceed := make(chan struct{})
 	const interval = 10 * time.Millisecond
@@ -238,7 +267,7 @@ func TestAgentRedialBackoffResets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
+	defer stopSteppedAgent(a, testDone)
 
 	nextSleep := func() time.Duration {
 		t.Helper()
@@ -270,6 +299,9 @@ func TestAgentRedialBackoffResets(t *testing.T) {
 	}
 
 	fc.await(t, opusnet.MsgFleetRegister)
+	// A heartbeat proves the agent took the registration's ack: dropping
+	// the connection before that would fail the registration itself.
+	fc.await(t, opusnet.MsgHeartbeat)
 
 	// Outage two: the connection drops and dialing fails again. The
 	// successful registration in between must have reset the backoff.
@@ -292,4 +324,119 @@ func TestAgentConfigValidation(t *testing.T) {
 			t.Errorf("config %+v accepted", cfg)
 		}
 	}
+}
+
+// TestAgentRefusedRegistrationStops pins the refusal path with a frozen
+// clock: a fleet_register answered with MsgErr is reported as a
+// refusal, never retried (the agent dials once and never sleeps), and
+// a later Drain has no membership to end.
+func TestAgentRefusedRegistrationStops(t *testing.T) {
+	fc := startFakeCoord(t)
+	fc.onRegister.Store(regRefuse)
+	var dials, sleeps atomic.Int32
+	var logMu sync.Mutex
+	var logs []string
+	a, err := StartAgent(AgentConfig{
+		Coordinator: fc.ln.Addr().String(),
+		ID:          "s0",
+		Addr:        "serve-addr",
+		Interval:    10 * time.Millisecond,
+		Dial: func(addr string) (net.Conn, error) {
+			dials.Add(1)
+			return net.DialTimeout("tcp", addr, 5*time.Second)
+		},
+		sleepFn: func(time.Duration) { sleeps.Add(1) },
+		Logf: func(format string, args ...any) {
+			logMu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			logMu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+
+	stopped := make(chan struct{})
+	go func() { a.wg.Wait(); close(stopped) }()
+	select {
+	case <-stopped:
+	case <-time.After(30 * time.Second):
+		t.Fatal("agent kept running after a refused registration")
+	}
+	if d, s := dials.Load(), sleeps.Load(); d != 1 || s != 0 {
+		t.Fatalf("dials/sleeps = %d/%d, want 1/0 (a refusal is not retried)", d, s)
+	}
+	logMu.Lock()
+	joined := strings.Join(logs, "\n")
+	logMu.Unlock()
+	if !strings.Contains(joined, "registration refused") || !strings.Contains(joined, "held by static backend") ||
+		strings.Contains(joined, "unreachable") {
+		t.Fatalf("agent log = %q, want the refusal reported as a refusal", joined)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := a.Drain(ctx, "sigterm"); err != nil {
+		t.Fatalf("drain after refusal = %v, want nil", err)
+	}
+	if d := dials.Load(); d != 1 {
+		t.Fatalf("drain after refusal dialed the coordinator (%d dials)", d)
+	}
+}
+
+// TestAgentConnectionFailureRetries pins the other side with a frozen
+// clock: a registration whose connection drops before any reply is a
+// connection failure, so the agent backs off (Interval, then doubling)
+// and registers again.
+func TestAgentConnectionFailureRetries(t *testing.T) {
+	fc := startFakeCoord(t)
+	fc.onRegister.Store(regHangUp)
+	testDone := make(chan struct{})
+	sleeps := make(chan time.Duration)
+	proceed := make(chan struct{})
+	const interval = 10 * time.Millisecond
+	a, err := StartAgent(AgentConfig{
+		Coordinator: fc.ln.Addr().String(),
+		ID:          "node-c",
+		Addr:        "serve-addr",
+		Interval:    interval,
+		MaxBackoff:  8 * interval,
+		sleepFn: func(d time.Duration) {
+			select {
+			case sleeps <- d:
+			case <-testDone:
+				return
+			}
+			select {
+			case <-proceed:
+			case <-testDone:
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopSteppedAgent(a, testDone)
+
+	for i, want := range []time.Duration{interval, 2 * interval} {
+		fc.await(t, opusnet.MsgFleetRegister)
+		select {
+		case got := <-sleeps:
+			if got != want {
+				t.Fatalf("backoff %d = %v, want %v", i+1, got, want)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("agent did not back off after connection failure %d", i+1)
+		}
+		if i == 1 {
+			fc.onRegister.Store(regAck) // the coordinator heals before the next retry
+		}
+		select {
+		case proceed <- struct{}{}:
+		case <-time.After(30 * time.Second):
+			t.Fatal("agent never resumed")
+		}
+	}
+	fc.await(t, opusnet.MsgFleetRegister)
+	fc.await(t, opusnet.MsgHeartbeat) // registered: heartbeating
 }

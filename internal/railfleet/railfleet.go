@@ -9,9 +9,9 @@
 // fabric variants of one workload colocate, so each electrical baseline
 // simulates exactly once fleet-wide), fans the shards out as cells_req
 // batches bounded by a per-backend in-flight cap, merges the partial
-// rows back into canonical expansion order, renders them once, and
-// streams aggregated exp_progress — the fleet's output is
-// byte-identical to a single daemon's.
+// rows back into canonical expansion order, renders them in each
+// requester's format, and streams aggregated exp_progress — the
+// fleet's output is byte-identical to a single daemon's.
 //
 // Membership is one table, the internal/railctl registry, which every
 // wave, proxy and stats query reads. Static -backends entries are
@@ -435,6 +435,10 @@ func (f *Coordinator) serveExp(msg *opusnet.Message, reply func(*opusnet.Message
 		railserve.ReplyErr(reply, seq, fmt.Errorf("railfleet: unknown experiment (see photonrail.Experiments; grids run via name %q)", "grid"))
 		return
 	}
+	if err := opusnet.CheckFormat(req.Format); err != nil {
+		railserve.ReplyErr(reply, seq, err)
+		return
+	}
 	if !photonrail.IsGridExperiment(req.Name) {
 		// A grid on a non-grid experiment is rejected by the backend,
 		// exactly as a direct raild request would be.
@@ -461,7 +465,8 @@ func (f *Coordinator) serveExp(msg *opusnet.Message, reply func(*opusnet.Message
 		return
 	}
 	// Every experiment naming the same resolved grid coalesces onto one
-	// fleet execution; each waiter's result carries its own name.
+	// fleet execution; each waiter's result carries its own name and
+	// only the rendering its own Format asks for.
 	key := exp.HashKey(grid.AppendKey(exp.AppendString(nil, "fleet")))
 	r := f.core.Begin(req.Name, key, grid.CellCount(), seq, req.TimeoutMS, cs)
 	if r == nil {
@@ -478,16 +483,11 @@ func (f *Coordinator) serveExp(msg *opusnet.Message, reply func(*opusnet.Message
 			}
 		},
 		Execute: func(ctx context.Context, progress func(done, total int)) (any, error) {
-			rows, err := f.executeGrid(ctx, spec, grid, progress)
-			if err != nil {
-				return nil, err
-			}
-			return railserve.RenderExpPayload(req.Name, photonrail.GridExperimentResult(grid.Name, rows))
+			return f.executeGrid(ctx, spec, grid, progress)
 		},
-		Result: func(payload any, shared bool) *opusnet.Message {
-			p := *(payload.(*opusnet.ExpResultPayload))
-			p.Name, p.Shared = req.Name, shared
-			return &opusnet.Message{Type: opusnet.MsgExpResult, ExpResult: &p}
+		Result: func(payload any, shared bool) (*opusnet.Message, error) {
+			res := photonrail.GridExperimentResult(grid.Name, payload.([]scenario.Row))
+			return railserve.ExpResultMessage(req.Name, res, req.Format, shared)
 		},
 	}, reply)
 }
@@ -495,8 +495,10 @@ func (f *Coordinator) serveExp(msg *opusnet.Message, reply func(*opusnet.Message
 // proxyExp forwards a non-grid experiment to one backend — chosen by
 // rendezvous hash of the experiment name so repeat requests land on
 // the same warm cache — failing over to the next live backend on
-// connection errors. Application-level refusals are returned as-is: a
-// retry elsewhere would only repeat them.
+// connection errors. The request, Format included, passes through
+// unchanged, so the backend renders only what the client asked for.
+// Application-level refusals are returned as-is: a retry elsewhere
+// would only repeat them.
 func (f *Coordinator) proxyExp(msg *opusnet.Message, reply func(*opusnet.Message, bool), cs *opusnet.ConnState) {
 	seq := msg.Seq
 	req := *msg.Exp

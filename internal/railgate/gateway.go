@@ -12,7 +12,9 @@
 //	                                 ExpRequestPayload shape); ?async=1
 //	                                 returns 202 + run id immediately
 //	GET  /v1/runs/{id}             — the completed result, negotiated:
-//	                                 JSON rows, CSV, or aligned text
+//	                                 JSON rows, CSV, or aligned text (a
+//	                                 synchronous run without a store
+//	                                 holds only the format it answered)
 //	GET  /v1/runs/{id}/events      — the run's lifecycle + per-cell
 //	                                 progress as SSE
 //	GET  /metrics, /events         — the gateway's own observability
@@ -299,7 +301,7 @@ type catalogParamInfo struct {
 }
 
 func (g *Gateway) handleCatalog(w http.ResponseWriter, r *http.Request) {
-	if negotiate(r) == "table" {
+	if format, _ := negotiate(r); format == opusnet.FormatTable {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		_ = photonrail.DescribeExperiments(w)
 		return
@@ -362,12 +364,27 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		g.errorJSON(w, tenant, http.StatusNotFound, "railgate: unknown experiment %q (GET /v1/experiments lists the registry)", name)
 		return
 	}
+	// An unanswerable format is refused before the request costs a
+	// token, a queue slot or an execution.
+	format, ok := negotiate(r)
+	if !ok {
+		g.errorJSON(w, tenant, http.StatusNotAcceptable, errUnknownFormat)
+		return
+	}
 	var req opusnet.ExpRequestPayload
 	if err := decodeBody(r.Body, &req); err != nil {
 		g.errorJSON(w, tenant, http.StatusBadRequest, "railgate: bad parameter payload: %v", err)
 		return
 	}
 	req.Name = name
+	// A synchronous run without a store is read once, by this request,
+	// so the backend renders only the negotiated format. An async run
+	// may be fetched later in any format, and a stored result may serve
+	// any later request: those ask for all three renderings.
+	req.Format = ""
+	if g.store == nil && !isAsync(r) {
+		req.Format = format
+	}
 	if req.Grid != nil {
 		if !photonrail.IsGridExperiment(name) {
 			g.errorJSON(w, tenant, http.StatusBadRequest, "railgate: experiment %q does not take a grid", name)
@@ -599,44 +616,64 @@ func (g *Gateway) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 		func(ev telemetry.Event) bool { return ev.Type == evResult || ev.Type == evError })
 }
 
-// negotiate picks the response format: the ?format query parameter
-// (table/csv/json, the CLI spellings) when present, else the first
-// supported media type in Accept order; JSON is the default.
-func negotiate(r *http.Request) string {
+// errUnknownFormat is the 406 refusal of a ?format negotiate cannot
+// answer.
+const errUnknownFormat = "railgate: unknown format (want table, csv, or json)"
+
+// negotiate picks the response format as the rendering an exp_req
+// names: the ?format query parameter (table/csv/json, the CLI
+// spellings, with text for table) when present, else the first
+// supported media type in Accept order; JSON is the default. It
+// reports false for a ?format it cannot answer.
+func negotiate(r *http.Request) (string, bool) {
 	if f := r.URL.Query().Get("format"); f != "" {
-		return f
+		switch f {
+		case opusnet.FormatTable, "text":
+			return opusnet.FormatTable, true
+		case opusnet.FormatCSV, opusnet.FormatJSON:
+			return f, true
+		}
+		return "", false
 	}
 	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
 		switch strings.TrimSpace(strings.SplitN(part, ";", 2)[0]) {
 		case "application/json":
-			return "json"
+			return opusnet.FormatJSON, true
 		case "text/csv":
-			return "csv"
+			return opusnet.FormatCSV, true
 		case "text/plain":
-			return "table"
+			return opusnet.FormatTable, true
 		case "*/*", "text/*":
-			return "json"
+			return opusnet.FormatJSON, true
 		}
 	}
-	return "json"
+	return opusnet.FormatJSON, true
 }
 
 // serveEntry writes the run's rendering in the negotiated format. The
-// bytes are exactly what the engine rendered once at execution time —
+// bytes are exactly what the engine rendered at execution time —
 // identical to the corresponding CLI output, and identical across
-// store hits, daemon restarts, and gateways.
+// store hits, daemon restarts, and gateways. A run that asked its
+// backend for one rendering answers any other format with 406.
 func (g *Gateway) serveEntry(w http.ResponseWriter, r *http.Request, rn *run, code int) {
-	var body, ctype string
-	switch negotiate(r) {
-	case "json":
-		body, ctype = rn.entry.RowsJSON, "application/json; charset=utf-8"
-	case "csv":
-		body, ctype = rn.entry.RenderedCSV, "text/csv; charset=utf-8"
-	case "table", "text":
-		body, ctype = rn.entry.Rendered, "text/plain; charset=utf-8"
-	default:
-		g.errorJSON(w, rn.tenant, http.StatusNotAcceptable, "railgate: unknown format (want table, csv, or json)")
+	format, ok := negotiate(r)
+	if !ok {
+		g.errorJSON(w, rn.tenant, http.StatusNotAcceptable, errUnknownFormat)
 		return
+	}
+	if rn.req.Format != "" && rn.req.Format != format {
+		g.errorJSON(w, rn.tenant, http.StatusNotAcceptable,
+			"railgate: run %s holds only its %s rendering (submit again, or with ?async=1, for %s)", rn.id, rn.req.Format, format)
+		return
+	}
+	var body, ctype string
+	switch format {
+	case opusnet.FormatJSON:
+		body, ctype = rn.entry.RowsJSON, "application/json; charset=utf-8"
+	case opusnet.FormatCSV:
+		body, ctype = rn.entry.RenderedCSV, "text/csv; charset=utf-8"
+	default:
+		body, ctype = rn.entry.Rendered, "text/plain; charset=utf-8"
 	}
 	g.reqTotal.With(rn.tenant, strconv.Itoa(code)).Inc()
 	w.Header().Set("Content-Type", ctype)

@@ -18,19 +18,23 @@ import (
 	"photonrail/internal/resultstore"
 )
 
-// fakeRunner is a scripted backend: it counts invocations, optionally
-// parks until released, and renders a deterministic result.
+// fakeRunner is a scripted backend: it counts invocations and records
+// each request's Format, optionally parks until released, and renders
+// a deterministic result — only the named rendering when the request
+// names a Format, as a daemon does.
 type fakeRunner struct {
-	calls atomic.Int64
-	mu    sync.Mutex
-	block chan struct{} // when non-nil, RunExperiment parks on it
-	err   error
+	calls   atomic.Int64
+	mu      sync.Mutex
+	block   chan struct{} // when non-nil, RunExperiment parks on it
+	err     error
+	formats []string
 }
 
 func (f *fakeRunner) RunExperiment(ctx context.Context, req opusnet.ExpRequestPayload, onProgress func(done, total int)) (*railserve.ExpRun, error) {
 	f.calls.Add(1)
 	f.mu.Lock()
 	block, err := f.block, f.err
+	f.formats = append(f.formats, req.Format)
 	f.mu.Unlock()
 	if block != nil {
 		select {
@@ -46,12 +50,24 @@ func (f *fakeRunner) RunExperiment(ctx context.Context, req opusnet.ExpRequestPa
 		onProgress(1, 2)
 		onProgress(2, 2)
 	}
-	return &railserve.ExpRun{
-		Name:        req.Name,
-		Rendered:    "text " + req.Name + "\n",
-		RenderedCSV: "col\n" + req.Name + "\n",
-		RowsJSON:    fmt.Sprintf("{\"experiment\":%q}", req.Name),
-	}, nil
+	run := &railserve.ExpRun{Name: req.Name}
+	if req.Format == "" || req.Format == opusnet.FormatTable {
+		run.Rendered = "text " + req.Name + "\n"
+	}
+	if req.Format == "" || req.Format == opusnet.FormatCSV {
+		run.RenderedCSV = "col\n" + req.Name + "\n"
+	}
+	if req.Format == "" || req.Format == opusnet.FormatJSON {
+		run.RowsJSON = fmt.Sprintf("{\"experiment\":%q}", req.Name)
+	}
+	return run, nil
+}
+
+// requested returns the Formats the runner has been asked for so far.
+func (f *fakeRunner) requested() []string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]string(nil), f.formats...)
 }
 
 // newTestGateway builds a gateway over a fakeRunner with the given

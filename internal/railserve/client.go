@@ -29,9 +29,8 @@ type Client struct {
 	// behind (the goroutine-leak regression tests pin this).
 	readDone chan struct{}
 
-	// wmu serializes frame writes: WriteMessage issues two conn.Write
-	// calls (header, body), so concurrent pipelined requests would
-	// interleave bytes and corrupt the stream without it.
+	// wmu serializes frame writes, so concurrent pipelined requests
+	// cannot interleave bytes on a conn whose Write is not atomic.
 	wmu sync.Mutex
 
 	mu      sync.Mutex
@@ -197,13 +196,15 @@ func (c *Client) RunCellsCtx(ctx context.Context, spec scenario.Spec, indices []
 }
 
 // ExpRun is one completed experiment as the daemon reported it: the
-// exact bytes each output format prints, rendered server-side.
+// exact bytes each requested output format prints, rendered
+// server-side.
 type ExpRun struct {
 	// Name is the experiment that ran; Grid is the executed grid's name
 	// for grid experiments.
 	Name, Grid string
 	// Rendered, RenderedCSV, and RowsJSON are the aligned-text, CSV,
-	// and indented-JSON renderings.
+	// and indented-JSON renderings; a request that named a Format gets
+	// only that one.
 	Rendered, RenderedCSV, RowsJSON string
 	// Shared reports the daemon coalesced this request onto an
 	// identical in-flight request.

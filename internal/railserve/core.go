@@ -324,9 +324,11 @@ type Job struct {
 	// Execute runs once per execution, detached under the base context;
 	// progress fans ticks out to every subscriber.
 	Execute func(ctx context.Context, progress func(done, total int)) (any, error)
-	// Result shapes the final frame from the execution's payload; Serve
-	// stamps its Seq.
-	Result func(payload any, shared bool) *opusnet.Message
+	// Result shapes one waiter's final frame from the execution's
+	// payload — rendering, when the payload is a result, in the format
+	// that waiter asked for. Serve calls it inside the request's
+	// observation and stamps its Seq; an error answers MsgErr.
+	Result func(payload any, shared bool) (*opusnet.Message, error)
 }
 
 // run is one in-flight execution with its subscribers. waiters counts
@@ -418,12 +420,16 @@ func (c *Core) Serve(r *Req, job Job, reply func(*opusnet.Message, bool)) {
 	c.Go(func() {
 		select {
 		case <-rn.done:
-			r.Finish(rn.err, false)
-			if rn.err != nil {
-				ReplyErr(reply, seq, rn.err)
+			var m *opusnet.Message
+			err := rn.err
+			if err == nil {
+				m, err = job.Result(rn.payload, shared)
+			}
+			r.Finish(err, false)
+			if err != nil {
+				ReplyErr(reply, seq, err)
 				return
 			}
-			m := job.Result(rn.payload, shared)
 			m.Seq = seq
 			reply(m, true)
 		case <-r.Ctx.Done():

@@ -44,10 +44,11 @@
 package railserve
 
 import (
-	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net"
+	"strings"
 	"sync/atomic"
 
 	"photonrail"
@@ -230,8 +231,9 @@ func ValidateGridSpec(spec scenario.Spec) (scenario.Grid, error) {
 
 // serveExp runs a registered photonrail experiment for one request:
 // validate, then hand the shared join-or-start skeleton (Core.Serve) an
-// execute closure that runs the registry entry and renders its result
-// server-side.
+// execute closure that runs the registry entry. Each waiter renders the
+// shared result in its own requested format, so requests that differ
+// only in Format coalesce onto one execution.
 func (s *Server) serveExp(msg *opusnet.Message, reply func(*opusnet.Message, bool), cs *opusnet.ConnState) {
 	req := msg.Exp
 	if req == nil {
@@ -243,6 +245,10 @@ func (s *Server) serveExp(msg *opusnet.Message, reply func(*opusnet.Message, boo
 		// Deliberately does not echo arbitrary names at frame-limit
 		// lengths; the registry spelling list is short and fixed.
 		ReplyErr(reply, msg.Seq, fmt.Errorf("railserve: unknown experiment (see photonrail.Experiments; grids run via name %q)", "grid"))
+		return
+	}
+	if err := opusnet.CheckFormat(req.Format); err != nil {
+		ReplyErr(reply, msg.Seq, err)
 		return
 	}
 	p := photonrail.Params{
@@ -289,16 +295,10 @@ func (s *Server) serveExp(msg *opusnet.Message, reply func(*opusnet.Message, boo
 		Execute: func(ctx context.Context, progress func(done, total int)) (any, error) {
 			params := p
 			params.OnProgress = progress
-			res, err := e.Run(ctx, s.engine, params)
-			if err != nil {
-				return nil, err
-			}
-			return RenderExpPayload(req.Name, res)
+			return e.Run(ctx, s.engine, params)
 		},
-		Result: func(payload any, shared bool) *opusnet.Message {
-			p := *(payload.(*opusnet.ExpResultPayload))
-			p.Shared = shared
-			return &opusnet.Message{Type: opusnet.MsgExpResult, ExpResult: &p}
+		Result: func(payload any, shared bool) (*opusnet.Message, error) {
+			return ExpResultMessage(req.Name, payload.(*photonrail.ExperimentResult), req.Format, shared)
 		},
 	}, reply)
 }
@@ -362,34 +362,53 @@ func (s *Server) serveCells(msg *opusnet.Message, reply func(*opusnet.Message, b
 			res := photonrail.GridResult{Grid: grid, Cells: results}
 			return &opusnet.CellsResultPayload{Name: grid.Name, Indices: indices, Rows: res.Rows()}, nil
 		},
-		Result: func(payload any, shared bool) *opusnet.Message {
+		Result: func(payload any, shared bool) (*opusnet.Message, error) {
 			p := *(payload.(*opusnet.CellsResultPayload))
 			p.Shared = shared
-			return &opusnet.Message{Type: opusnet.MsgCellsResult, CellsResult: &p}
+			return &opusnet.Message{Type: opusnet.MsgCellsResult, CellsResult: &p}, nil
 		},
 	}, reply)
 }
 
-// RenderExpPayload renders a completed experiment once, server-side,
-// into the exact bytes each client output format prints. The fleet
-// coordinator renders its merged rows here too, so fleet bytes are a
-// daemon's bytes.
-func RenderExpPayload(name string, res *photonrail.ExperimentResult) (*opusnet.ExpResultPayload, error) {
-	var text, csv, rows bytes.Buffer
-	if err := res.RenderText(&text); err != nil {
+// RenderExpPayload renders a completed experiment server-side into the
+// exact bytes a client output format prints: only the rendering format
+// names (opusnet.FormatTable, FormatCSV or FormatJSON), or all three
+// when format is empty. The fleet coordinator renders its merged rows
+// here too, so fleet bytes are a daemon's bytes.
+func RenderExpPayload(name string, res *photonrail.ExperimentResult, format string) (*opusnet.ExpResultPayload, error) {
+	if err := opusnet.CheckFormat(format); err != nil {
 		return nil, err
 	}
-	if err := res.RenderCSV(&csv); err != nil {
+	p := &opusnet.ExpResultPayload{Name: name, Grid: res.Grid}
+	for _, r := range []struct {
+		format string
+		render func(io.Writer) error
+		dst    *string
+	}{
+		{opusnet.FormatTable, res.RenderText, &p.Rendered},
+		{opusnet.FormatCSV, res.RenderCSV, &p.RenderedCSV},
+		{opusnet.FormatJSON, res.RenderJSON, &p.RowsJSON},
+	} {
+		if format != "" && format != r.format {
+			continue
+		}
+		var b strings.Builder
+		if err := r.render(&b); err != nil {
+			return nil, err
+		}
+		*r.dst = b.String()
+	}
+	return p, nil
+}
+
+// ExpResultMessage is one waiter's exp_result frame: res rendered in the
+// waiter's format, flagged shared when the waiter joined another
+// request's execution.
+func ExpResultMessage(name string, res *photonrail.ExperimentResult, format string, shared bool) (*opusnet.Message, error) {
+	p, err := RenderExpPayload(name, res, format)
+	if err != nil {
 		return nil, err
 	}
-	if err := res.RenderJSON(&rows); err != nil {
-		return nil, err
-	}
-	return &opusnet.ExpResultPayload{
-		Name:        name,
-		Grid:        res.Grid,
-		Rendered:    text.String(),
-		RenderedCSV: csv.String(),
-		RowsJSON:    rows.String(),
-	}, nil
+	p.Shared = shared
+	return &opusnet.Message{Type: opusnet.MsgExpResult, ExpResult: p}, nil
 }
